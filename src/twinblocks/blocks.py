@@ -10,12 +10,12 @@ split anything, so only bridges are iterated.
 Two algorithms are provided for the twinless variant.  The matrix
 transcription (``tetb_alg1_matrix``) marks separated pairs in an n-by-n
 boolean table and reads blocks off as components of the never-separated
-graph.  The refinement form (``tetb_alg2_refine``) starts from the 2-edge
-blocks and refines with per-twinless-bridge partitions.  Its "faithful"
-mode skips twinless bridges that are also strong bridges; that skip is only
-sound on graphs without strong bridges, and the default "safe" mode
-processes every twinless bridge (see the G_GADGET fixture for the
-counterexample the test suite pins down).
+graph.  The refinement form (``tetb_alg2_refine``) meets the partitions:
+its default "safe" mode over every twinless bridge alone, its "faithful"
+mode from the 2-edge blocks over the twinless bridges that are not strong
+bridges; that skip is only sound on graphs without strong bridges (see the
+G_GADGET fixture for the counterexample the test suite pins down).
+``threads`` is accepted for compatibility and ignored.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ from .partition import Partition, partition_meet
 from .connectivity import (_scc_class_of, _tscc_class_of,
                            is_twinless_strongly_connected,
                            twinless_strongly_connected_components)
-from .cuts import _map_ordered, bridge_report, strong_bridges
+from .cuts import bridge_report, strong_bridges
 
 MATRIX_VERTEX_BUDGET = 20_000
 SUBSET_BUDGET = 10 ** 6
@@ -160,24 +160,12 @@ class BlockSet:
         return f"BlockSet({sorted(sorted(b) for b in self.blocks)})"
 
 
-def _scc_after_removal(g: Digraph, aid: int) -> Partition:
-    # traversal-level arc skip; same result as removing the arc outright
-    return Partition(_scc_class_of(g, aid))
-
-
-def _tscc_after_removal(g: Digraph, aid: int) -> Partition:
-    return Partition(_tscc_class_of(g, aid))
-
-
-def _two_edge_block_partition(g: Digraph, threads: int = 1,
-                              bridges: frozenset[int] | None = None) -> Partition:
+def _two_edge_block_partition(g: Digraph,
+                              bridges: frozenset[int]) -> Partition:
     """2-edge blocks as a partition, non-block vertices as singletons."""
-    if bridges is None:
-        bridges = strong_bridges(g, threads)
     part = Partition.single_class(g.n)
-    for p in _map_ordered(lambda e: _scc_after_removal(g, e),
-                          sorted(bridges), threads):
-        part = partition_meet(part, p)
+    for e in sorted(bridges):
+        part = partition_meet(part, Partition(_scc_class_of(g, e)))
     return part
 
 
@@ -187,7 +175,8 @@ def two_edge_blocks(g: Digraph, threads: int = 1) -> BlockSet:
     Only strong bridges are iterated: removing any other arc leaves the
     graph strongly connected and cannot separate a pair.
     """
-    return BlockSet.from_partition(_two_edge_block_partition(g, threads))
+    return BlockSet.from_partition(
+        _two_edge_block_partition(g, strong_bridges(g)))
 
 
 def tetb_alg1_matrix(g: Digraph, threads: int = 1) -> BlockSet:
@@ -205,37 +194,36 @@ def tetb_alg1_matrix(g: Digraph, threads: int = 1) -> BlockSet:
         raise BudgetError(
             f"n={g.n} exceeds the n*n separation-matrix budget "
             f"({MATRIX_VERTEX_BUDGET}); use tetb_alg2_refine instead")
-    rep = bridge_report(g, threads)
+    rep = bridge_report(g)
     if not rep.twinless_bridges:
         return BlockSet.from_partition(Partition.single_class(g.n))
     matrix = SeparationMatrix(g.n)
-    for p in _map_ordered(lambda e: _tscc_after_removal(g, e),
-                          sorted(rep.twinless_bridges), threads):
-        matrix.separate_across(p)
+    for e in sorted(rep.twinless_bridges):
+        matrix.separate_across(Partition(_tscc_class_of(g, e)))
     return BlockSet(frozenset(matrix.never_separated_components()))
 
 
 def tetb_alg2_refine(g: Digraph, mode: str = "safe",
                      threads: int = 1) -> BlockSet:
-    """2-edge-twinless blocks by refining the 2-edge blocks.
+    """2-edge-twinless blocks by meeting per-twinless-bridge partitions.
 
-    mode="safe" refines with every twinless bridge; mode="faithful" skips
-    twinless bridges that are also strong bridges.  The skip is exact only
-    when the graph has no strong bridges, so safe is the default.
+    mode="safe" is the meet over every twinless bridge alone: strong bridges
+    are twinless bridges and TSCC(g - e) refines SCC(g - e), so it implies
+    the 2-edge blocks.  mode="faithful" is the 2-edge-block pre-pass met
+    with the twinless bridges that are not strong bridges.  That skip is
+    exact only when the graph has no strong bridges, so safe is the default.
     """
     if mode not in ("safe", "faithful"):
         raise ValueError(f"unknown mode {mode!r}")
-    rep = bridge_report(g, threads)
-    if not rep.twinless_bridges:
-        return BlockSet.from_partition(Partition.single_class(g.n))
-    part = _two_edge_block_partition(g, threads, bridges=rep.strong_bridges)
+    rep = bridge_report(g)
     if mode == "faithful":
-        refine = sorted(rep.twinless_bridges - rep.strong_bridges)
+        part = _two_edge_block_partition(g, rep.strong_bridges)
+        refine = rep.twinless_bridges - rep.strong_bridges
     else:
-        refine = sorted(rep.twinless_bridges)
-    for p in _map_ordered(lambda e: _tscc_after_removal(g, e),
-                          refine, threads):
-        part = partition_meet(part, p)
+        part = Partition.single_class(g.n)
+        refine = rep.twinless_bridges
+    for e in sorted(refine):
+        part = partition_meet(part, Partition(_tscc_class_of(g, e)))
     return BlockSet.from_partition(part)
 
 
@@ -257,11 +245,10 @@ def two_edge_twinless_blocks(g: Digraph, algorithm: str = "alg2-safe",
         sub = induced_subgraph(g, cls)
         back = sorted(cls)
         if algorithm == "alg1":
-            found = tetb_alg1_matrix(sub, threads)
+            found = tetb_alg1_matrix(sub)
         else:
             found = tetb_alg2_refine(
-                sub, "safe" if algorithm == "alg2-safe" else "faithful",
-                threads)
+                sub, "safe" if algorithm == "alg2-safe" else "faithful")
         out.extend(frozenset(back[v] for v in b) for b in found.blocks)
     return BlockSet(frozenset(out))
 

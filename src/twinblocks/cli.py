@@ -23,8 +23,9 @@ from .partition import Partition
 from .connectivity import (strongly_connected_components,
                            twinless_strongly_connected_components)
 from .cuts import strong_bridges, twinless_bridges
-from .blocks import (BlockSet, k_edge_twinless_blocks_bruteforce,
-                     two_edge_blocks, two_edge_twinless_blocks)
+from .blocks import (BlockSet, _two_edge_block_partition,
+                     k_edge_twinless_blocks_bruteforce,
+                     two_edge_twinless_blocks)
 from .testkit import (GeneratorConfig, oracle_two_edge_twinless_blocks,
                       random_digraph)
 from . import selftest as _selftest_mod
@@ -96,7 +97,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--include-singletons", action="store_true",
                      help="also list vertices outside every block")
     sub.add_argument("--threads", type=int, default=1, metavar="N",
-                     help="worker threads for per-bridge analysis")
+                     help="accepted for compatibility and ignored")
 
 
 def build_parser() -> _Parser:
@@ -127,14 +128,22 @@ def build_parser() -> _Parser:
 
 
 def _read_graph(path: str) -> Digraph:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ParseError(f"cannot read {path}: {exc}") from exc
+    """Parse UTF-8 edge-list input; a leading byte order mark is dropped."""
+    try:
+        if path == "-":
+            data = getattr(sys.stdin, "buffer", sys.stdin).read()
+        else:
+            with open(path, "rb") as fh:
+                data = fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    if isinstance(data, str):  # a replaced stdin without a byte buffer
+        return parse_edge_list(data.removeprefix("\ufeff"))
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not UTF-8 at byte {exc.start}: "
+                         f"{exc.reason}") from exc
     return parse_edge_list(text)
 
 
@@ -195,7 +204,6 @@ def run(argv: list[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    threads = max(1, args.threads)
     started = time.perf_counter()
     report = AnalysisReport(n=g.n, m=g.m, analysis=args.command, algorithm="")
     try:
@@ -209,18 +217,18 @@ def run(argv: list[str]) -> int:
             report.blocks = _partition_lists(g, p, args.min_size or 1)
         elif args.command == "strong-bridges":
             report.algorithm = "per-arc-recheck"
-            sb = strong_bridges(g, threads)
+            sb = strong_bridges(g)
             report.strong_bridges = _sorted_arcs(g, sb)
             report.b_s = len(sb)
         elif args.command == "twinless-bridges":
             report.algorithm = "per-arc-recheck"
-            tb = twinless_bridges(g, threads)
+            tb = twinless_bridges(g)
             report.twinless_bridges = _sorted_arcs(g, tb)
             report.b_t = len(tb)
         elif args.command == "2-edge-blocks":
             report.algorithm = "bridge-refinement"
-            sb = strong_bridges(g, threads)
-            bs = two_edge_blocks(g, threads)
+            sb = strong_bridges(g)
+            bs = BlockSet.from_partition(_two_edge_block_partition(g, sb))
             report.blocks = _block_lists(g, bs, args.min_size or 2,
                                          args.include_singletons)
             report.strong_bridges = _sorted_arcs(g, sb)
@@ -230,7 +238,7 @@ def run(argv: list[str]) -> int:
             if args.algorithm == "oracle":
                 bs = oracle_two_edge_twinless_blocks(g)
             else:
-                bs = two_edge_twinless_blocks(g, args.algorithm, threads)
+                bs = two_edge_twinless_blocks(g, args.algorithm)
             report.blocks = _block_lists(g, bs, args.min_size or 2,
                                          args.include_singletons)
         elif args.command == "ketb":

@@ -8,10 +8,16 @@ undirected bridge separates them.  That characterization is easy to get
 subtly wrong, so the test suite cross-checks it against the definition-level
 orientation oracle on every generated instance; on any discrepancy the
 oracle is ground truth and the mismatch must be reported, not patched.
+
+Both stages traverse the digraph's own adjacency, optionally with one arc
+skipped: Tarjan's SCC pass, then one undirected low-link DFS that stays
+inside each SCC; no undirected graph is built.  ``UndirectedGraph`` and its
+helpers stay as public API and as the reference the tests compare against.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .core import (Digraph, PreconditionError, TwinPair, UndirectedGraph,
                    twin_arc_ids)
@@ -191,38 +197,55 @@ def two_edge_connected_components(u: UndirectedGraph) -> Partition:
 
 
 def _tscc_class_of(g: Digraph, skip: int = -1) -> list[int]:
-    """TSCC classes of g (minus the optional ``skip`` arc).
+    """TSCC classes of g (minus the optional ``skip`` arc); O(n + m).
 
-    Groups arcs by SCC class and runs the 2-edge-connected-component
-    refinement inside each class, so the whole pass stays O(n + m).
+    Undirected low-link DFS over in- and out-arcs inside each SCC.  The
+    underlying graph is simple, so skipping every arc to the DFS parent
+    skips exactly the tree edge, antiparallel pair included.  The edge
+    into v is a bridge iff low[v] == disc[v], which closes v's class.
     """
     scc_of = _scc_class_of(g, skip)
-    num = max(scc_of) + 1 if scc_of else 0
-    members: list[list[int]] = [[] for _ in range(num)]
-    for v, c in enumerate(scc_of):
-        members[c].append(v)
-    edges_in: list[list[tuple[int, int]]] = [[] for _ in range(num)]
-    for a in g.arcs:
-        if a.arc_id == skip:
+    n = g.n
+    out = g.out_pairs
+    inc = g.in_pairs
+    disc = [-1] * n
+    low = [0] * n
+    class_of = [-1] * n
+    stack: list[int] = []
+    timer = 0
+    comp = 0
+    for root in range(n):
+        if disc[root] != -1:
             continue
-        c = scc_of[a.source]
-        if c == scc_of[a.target]:
-            edges_in[c].append((a.source, a.target))
-    class_of = [-1] * g.n
-    next_class = 0
-    for c in range(num):
-        verts = members[c]
-        if len(verts) == 1:
-            class_of[verts[0]] = next_class
-            next_class += 1
-            continue
-        local = {v: i for i, v in enumerate(verts)}
-        sub = UndirectedGraph(
-            len(verts), ((local[a], local[b]) for a, b in edges_in[c]))
-        p = two_edge_connected_components(sub)
-        for i, v in enumerate(verts):
-            class_of[v] = next_class + p.class_of[i]
-        next_class += p.num_classes
+        disc[root] = low[root] = timer
+        timer += 1
+        stack.append(root)
+        work = [(root, -1, chain(out[root], inc[root]))]
+        while work:
+            v, parent, arcs = work[-1]
+            scc = scc_of[v]
+            for w, aid in arcs:
+                if aid == skip or w == parent or scc_of[w] != scc:
+                    continue
+                if disc[w] == -1:
+                    disc[w] = low[w] = timer
+                    timer += 1
+                    stack.append(w)
+                    work.append((w, v, chain(out[w], inc[w])))
+                    break
+                if disc[w] < low[v]:
+                    low[v] = disc[w]
+            else:
+                work.pop()
+                if low[v] == disc[v]:
+                    while True:
+                        w = stack.pop()
+                        class_of[w] = comp
+                        if w == v:
+                            break
+                    comp += 1
+                elif low[v] < low[parent]:
+                    low[parent] = low[v]
     return class_of
 
 
@@ -241,12 +264,7 @@ def is_twinless_strongly_connected(g: Digraph) -> bool:
     2-edge-connected (single TSCC class)."""
     if g.n == 0:
         raise PreconditionError("empty graph")
-    if not is_strongly_connected(g):
-        return False
-    if g.n == 1:
-        return True
-    u = UndirectedGraph(g.n, ((a.source, a.target) for a in g.arcs))
-    return not bridges_undirected(u)
+    return not any(_tscc_class_of(g))
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,8 @@
 Vertices are dense integer ids ``0..n-1``; every vertex carries an external
 string label (the token it was parsed from).  All algorithms work on ids,
 reports translate back to labels.  Graphs are immutable after construction:
-arc removal and induced subgraphs build new values, which makes per-arc
-analysis trivially safe to run concurrently.
+arc removal and induced subgraphs build new values, and per-arc analyses
+traverse the same graph with one arc skipped instead of rebuilding it.
 
 Simple digraphs only: self-loops are rejected everywhere, duplicate arcs are
 rejected in strict parsing mode (antiparallel-pair semantics are undefined

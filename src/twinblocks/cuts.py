@@ -18,28 +18,15 @@ usable at tens of thousands of arcs:
 
 Arc identity (arc_id), not the endpoint pair, names a bridge; that stays
 unambiguous under antiparallel pairs.
+``threads`` is accepted for compatibility and ignored.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
 
 from .core import (Digraph, GraphError, PreconditionError, UndirectedGraph,
                    twin_arc_ids, underlying_graph)
 from .connectivity import is_strongly_connected, is_twinless_strongly_connected
-
-_T = TypeVar("_T")
-_R = TypeVar("_R")
-
-
-def _map_ordered(fn: Callable[[_T], _R], items: Sequence[_T],
-                 threads: int) -> list[_R]:
-    """Apply fn to items, optionally on a thread pool, preserving order."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
 
 
 def _alt_path_exists(g: Digraph, source: int, target: int, skip: int) -> bool:
@@ -84,15 +71,12 @@ def _alt_path_exists(g: Digraph, source: int, target: int, skip: int) -> bool:
 def strong_bridges(g: Digraph, threads: int = 1) -> frozenset[int]:
     """Arc ids whose removal destroys strong connectivity.
 
-    Requires a strongly connected input.  Per-arc checks are independent
-    and may run on worker threads; the result is schedule-independent.
+    Requires a strongly connected input.
     """
     if not is_strongly_connected(g):
         raise PreconditionError("input is not strongly connected")
-    flags = _map_ordered(
-        lambda a: _alt_path_exists(g, a.source, a.target, a.arc_id),
-        g.arcs, threads)
-    return frozenset(a.arc_id for a, ok in zip(g.arcs, flags) if not ok)
+    return frozenset(a.arc_id for a in g.arcs
+                     if not _alt_path_exists(g, a.source, a.target, a.arc_id))
 
 
 def _norm_edge(a: int, b: int) -> tuple[int, int]:
@@ -219,18 +203,16 @@ def bridge_report(g: Digraph, threads: int = 1) -> BridgeReport:
         return BridgeReport(frozenset(), frozenset())
     two_cut = _edges_in_some_two_cut(underlying_graph(g))
     twin = twin_arc_ids(g)
-
-    def classify(a):
+    strong = []
+    twinless = []
+    for a in g.arcs:
         if not _alt_path_exists(g, a.source, a.target, a.arc_id):
-            return 2  # strong bridge (hence twinless bridge)
-        if twin[a.arc_id] == -1 and _norm_edge(a.source, a.target) in two_cut:
-            return 1  # twinless bridge only
-        return 0
-
-    kinds = _map_ordered(classify, g.arcs, threads)
-    strong = frozenset(a.arc_id for a, k in zip(g.arcs, kinds) if k == 2)
-    twinless = frozenset(a.arc_id for a, k in zip(g.arcs, kinds) if k >= 1)
-    return BridgeReport(strong, twinless)
+            strong.append(a.arc_id)  # a strong bridge is a twinless bridge
+            twinless.append(a.arc_id)
+        elif (twin[a.arc_id] == -1
+              and _norm_edge(a.source, a.target) in two_cut):
+            twinless.append(a.arc_id)
+    return BridgeReport(frozenset(strong), frozenset(twinless))
 
 
 def twinless_bridges(g: Digraph, threads: int = 1) -> frozenset[int]:
@@ -238,4 +220,4 @@ def twinless_bridges(g: Digraph, threads: int = 1) -> frozenset[int]:
 
     Requires a twinless strongly connected input.
     """
-    return bridge_report(g, threads).twinless_bridges
+    return bridge_report(g).twinless_bridges

@@ -92,3 +92,37 @@ def any_instances(count: int, n_range=(2, 8), m_range=(0, 16),
         if len(twin_pairs(g)) <= max_twin_pairs:
             out.append(g)
     return out
+
+
+def _numbered(n: int, arcs) -> Digraph:
+    return Digraph(tuple(str(v) for v in range(n)), arcs)
+
+
+def cycle(n: int) -> Digraph:
+    """The directed cycle 0 -> 1 -> ... -> n-1 -> 0: every arc is a strong
+    bridge."""
+    return _numbered(n, [(v, (v + 1) % n) for v in range(n)])
+
+
+def path_fan(n: int) -> Digraph:
+    """The path 0 -> ... -> n-1 plus an arc from each second-half vertex
+    back to 0 (n >= 3): b_s = b_t = n and every 2-edge block is a
+    singleton."""
+    arcs = [(v, v + 1) for v in range(n - 1)]
+    arcs.extend((v, 0) for v in range((n + 1) // 2, n))
+    return _numbered(n, arcs)
+
+
+def blob_chain(k: int, size: int) -> Digraph:
+    """k bidirected cliques of ``size`` >= 3 vertices in a row; neighbouring
+    cliques are joined by one twin pair and one unpaired forward arc, so
+    b_s = k - 1 and b_t = 2(k - 1)."""
+    arcs = []
+    for b in range(k):
+        base = b * size
+        arcs.extend((base + i, base + j) for i in range(size)
+                    for j in range(size) if i != j)
+        if b:
+            prev = base - size
+            arcs += [(prev, base), (base, prev), (prev + 1, base + 1)]
+    return _numbered(k * size, arcs)

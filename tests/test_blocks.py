@@ -2,7 +2,7 @@ import pytest
 
 from twinblocks import (BlockSet, BudgetError, Digraph, GraphError,
                         Partition, PreconditionError, SeparationMatrix,
-                        partition_meet,
+                        bridge_report, partition_meet,
                         k_edge_twinless_blocks_bruteforce, oracle_tscc,
                         oracle_two_edge_twinless_blocks, remove_arcs,
                         strong_bridges, strongly_connected_components,
@@ -12,7 +12,8 @@ from twinblocks import (BlockSet, BudgetError, Digraph, GraphError,
 from twinblocks import blocks as blocks_mod
 from twinblocks.fixtures import C3, G_DEMO19, G_GADGET, K3B, P2
 
-from helpers import any_instances, label_blocks, tsc_instances
+from helpers import (any_instances, blob_chain, cycle, label_blocks,
+                     path_fan, tsc_instances)
 
 
 def meet_over_all_arcs_scc(g) -> Partition:
@@ -118,6 +119,19 @@ def test_faithful_equals_safe_without_strong_bridges():
         if checked >= 60:
             break
     assert checked >= 30
+
+
+@pytest.mark.parametrize("g, b_s, b_t", [
+    (cycle(7), 7, 7), (path_fan(11), 11, 11),
+    (blob_chain(2, 4), 1, 2), (blob_chain(3, 3), 2, 4),
+], ids=["cycle", "path-fan", "blob-chain-2x4", "blob-chain-3x3"])
+def test_adversarial_shapes_match_oracle(g, b_s, b_t):
+    rep = bridge_report(g)
+    assert (rep.b_s, rep.b_t) == (b_s, b_t)
+    expected = oracle_two_edge_twinless_blocks(g)
+    assert tetb_alg1_matrix(g) == expected
+    assert tetb_alg2_refine(g, "safe") == expected
+    assert tetb_alg2_refine(g, "faithful") == expected
 
 
 def test_pipeline_examples():

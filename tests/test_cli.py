@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -115,6 +116,39 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "self-loop" in capsys.readouterr().err
     code = run(["scc", "--input", str(tmp_path / "missing.txt")])
     assert code == 2
+
+
+def _run_stdin(data: bytes, *argv: str):
+    return subprocess.run([sys.executable, "-m", "twinblocks", *argv],
+                          input=data, capture_output=True, timeout=60)
+
+
+def test_utf8_bom_is_not_part_of_a_label(tmp_path, capsys, monkeypatch):
+    data = b"\xef\xbb\xbf" + P2_TEXT.encode()
+    path = tmp_path / "bom.txt"
+    path.write_bytes(data)
+    code, doc = run_json(capsys, ["scc", "--input", str(path)])
+    assert code == 0
+    assert doc["n"] == 2 and doc["blocks"] == [["1", "2"]]
+    result = _run_stdin(data, "scc", "--format", "json")
+    assert result.returncode == 0
+    assert json.loads(result.stdout)["blocks"] == [["1", "2"]]
+    # a replaced text stdin has no byte buffer
+    monkeypatch.setattr(sys, "stdin", io.StringIO(data.decode("utf-8")))
+    code, doc = run_json(capsys, ["scc"])
+    assert code == 0 and doc["blocks"] == [["1", "2"]]
+
+
+def test_non_utf8_input_is_a_parse_error(tmp_path, capsys):
+    data = b"1 2\n2 \xff1\n"
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(data)
+    assert run(["scc", "--input", str(path)]) == 2
+    assert "not UTF-8 at byte 6" in capsys.readouterr().err
+    result = _run_stdin(data, "scc")
+    assert result.returncode == 2
+    assert b"not UTF-8 at byte 6" in result.stderr
+    assert b"Traceback" not in result.stderr
 
 
 def test_usage_errors(capsys):

@@ -5,7 +5,7 @@ from twinblocks import (Digraph, GeneratorConfig, PreconditionError,
                         connected_components, induced_subgraph,
                         is_strongly_connected, is_twinless_strongly_connected,
                         oracle_tscc, random_digraph, remove_arcs,
-                        strongly_connected_components,
+                        strongly_connected_components, twin_arc_ids,
                         twinless_strongly_connected_components,
                         two_edge_connected_components, underlying_graph)
 from twinblocks.connectivity import _scc_class_of, _tscc_class_of
@@ -164,6 +164,22 @@ def test_skip_arc_traversal_equals_removal():
                 strongly_connected_components(h)
             assert Partition(_tscc_class_of(g, a.arc_id)) == \
                 twinless_strongly_connected_components(h)
+
+
+@pytest.mark.parametrize("shape", ["any", "strongly-connected",
+                                   "twinless-strongly-connected"])
+def test_skip_arc_kernel_matches_oracle(shape):
+    twin_skips = 0
+    for seed in range(60):
+        g = random_digraph(GeneratorConfig(
+            n_range=(3, 7), m_range=(3, 14), twin_density=(seed % 5) * 0.2,
+            seed=seed, shape=shape))
+        twin = twin_arc_ids(g)
+        for a in g.arcs:
+            assert Partition(_tscc_class_of(g, a.arc_id)) == \
+                oracle_tscc(remove_arcs(g, {a.arc_id}))
+            twin_skips += twin[a.arc_id] != -1
+    assert twin_skips > 0
 
 
 def test_is_twinless_strongly_connected():
