@@ -27,7 +27,6 @@ from .core import (Digraph, GraphError, BudgetError, PreconditionError,
                    induced_subgraph, remove_arcs)
 from .partition import Partition, partition_meet
 from .connectivity import (_scc_class_of, _tscc_class_of,
-                           is_twinless_strongly_connected,
                            twinless_strongly_connected_components)
 from .cuts import bridge_report, strong_bridges
 
@@ -186,10 +185,9 @@ def tetb_alg1_matrix(g: Digraph, threads: int = 1) -> BlockSet:
     twinless strongly connected components of the reduced graph is marked
     separated; blocks are the size->=2 components of the never-separated
     pair graph.  Rows are machine-word bitsets, so the marking pass costs
-    O(n^2 / wordsize) per bridge.
+    O(n^2 / wordsize) per bridge.  The budget refusal comes before the
+    precondition check in ``bridge_report``.
     """
-    if not is_twinless_strongly_connected(g):
-        raise PreconditionError("input is not twinless strongly connected")
     if g.n > MATRIX_VERTEX_BUDGET:
         raise BudgetError(
             f"n={g.n} exceeds the n*n separation-matrix budget "
@@ -260,14 +258,15 @@ def k_edge_twinless_blocks_bruteforce(g: Digraph, k: int) -> BlockSet:
     """
     if k < 1:
         raise PreconditionError(f"k must be >= 1, got {k}")
-    total = sum(math.comb(g.m, i) for i in range(k))
+    top = min(k, g.m + 1)  # no arc subset has more than m arcs
+    total = sum(math.comb(g.m, i) for i in range(top))
     if total > SUBSET_BUDGET:
         raise BudgetError(
             f"enumerating {total} arc subsets exceeds the budget "
             f"({SUBSET_BUDGET})")
     part = twinless_strongly_connected_components(g)
     ids = range(g.m)
-    for size in range(1, k):
+    for size in range(1, top):
         for chosen in itertools.combinations(ids, size):
             part = partition_meet(
                 part,

@@ -15,10 +15,9 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from .core import (Digraph, GraphError, ParseError, PreconditionError,
-                   parse_edge_list, serialize)
+from .core import Digraph, GraphError, ParseError, parse_edge_list, serialize
 from .partition import Partition
 from .connectivity import (strongly_connected_components,
                            twinless_strongly_connected_components)
@@ -29,11 +28,6 @@ from .blocks import (BlockSet, _two_edge_block_partition,
 from .testkit import (GeneratorConfig, oracle_two_edge_twinless_blocks,
                       random_digraph)
 from . import selftest as _selftest_mod
-
-_SCHEMA_KEYS = ("n", "m", "analysis", "algorithm", "blocks",
-                "strong_bridges", "twinless_bridges", "b_s", "b_t",
-                "elapsed_ms")
-
 
 @dataclass
 class AnalysisReport:
@@ -51,11 +45,12 @@ class AnalysisReport:
     elapsed_ms: float = 0.0
 
     def to_dict(self) -> dict:
+        """The set fields in declaration order, which is the JSON schema."""
         out = {}
-        for key in _SCHEMA_KEYS:
-            value = getattr(self, key)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if value is not None:
-                out[key] = value
+                out[f.name] = value
         return out
 
     def to_text(self) -> str:
@@ -248,10 +243,7 @@ def run(argv: list[str]) -> int:
                                          args.include_singletons)
         else:  # pragma: no cover
             raise AssertionError(args.command)
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except GraphError as exc:
+    except GraphError as exc:  # PreconditionError included
         print(f"error: {exc}", file=sys.stderr)
         return 3
     report.elapsed_ms = round((time.perf_counter() - started) * 1000.0, 3)

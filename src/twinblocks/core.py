@@ -264,12 +264,14 @@ def induced_subgraph(g: Digraph, keep: Iterable[int]) -> Digraph:
     """Subgraph on ``keep`` with both-endpoint arcs; labels are preserved.
 
     New ids follow ascending original id order, so the mapping back to the
-    parent graph is ``sorted(keep)``.
+    parent graph is ``sorted(keep)``.  Keeping every vertex returns ``g``.
     """
     keep = set(keep)
     for v in keep:
         if not (isinstance(v, int) and 0 <= v < g.n):
             raise GraphError(f"unknown vertex id {v!r}")
+    if len(keep) == g.n:
+        return g
     order = sorted(keep)
     new_id = {v: i for i, v in enumerate(order)}
     pairs = [(new_id[a.source], new_id[a.target])

@@ -16,6 +16,10 @@ usable at tens of thousands of arcs:
   precomputed membership test: the deleted edge breaks 2-edge-connectivity
   iff it belongs to some 2-edge cut of the underlying graph.
 
+Twinless strong connectivity is strong connectivity plus a 2-edge-connected
+underlying graph, so the precondition costs one strong-connectivity search
+and the bridge test that the 2-cut pass makes anyway.
+
 Arc identity (arc_id), not the endpoint pair, names a bridge; that stays
 unambiguous under antiparallel pairs.
 ``threads`` is accepted for compatibility and ignored.
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 
 from .core import (Digraph, GraphError, PreconditionError, UndirectedGraph,
                    twin_arc_ids, underlying_graph)
-from .connectivity import is_strongly_connected, is_twinless_strongly_connected
+from .connectivity import is_strongly_connected
 
 
 def _alt_path_exists(g: Digraph, source: int, target: int, skip: int) -> bool:
@@ -91,7 +95,9 @@ def _edges_in_some_two_cut(u: UndirectedGraph) -> frozenset[tuple[int, int]]:
     back edge covering it, or two tree edges with identical covering back
     edge sets.  Cover cardinalities and cover-set ids come from one subtree
     aggregation pass; candidate equal-cover groups (bucketed by size and
-    id-XOR) are verified exactly before being accepted.
+    id-XOR) are verified exactly before being accepted.  A bridge (a tree
+    edge no back edge covers) raises PreconditionError: a digraph whose
+    underlying graph is ``u`` is then not twinless strongly connected.
     """
     n = u.n
     if n <= 1:
@@ -151,7 +157,7 @@ def _edges_in_some_two_cut(u: UndirectedGraph) -> frozenset[tuple[int, int]]:
     buckets: dict[tuple[int, int], list[int]] = {}
     for v in order[1:]:
         if cnt[v] == 0:
-            raise GraphError("internal: underlying graph has a bridge")
+            raise PreconditionError("input is not twinless strongly connected")
         if cnt[v] == 1:
             result.add(_norm_edge(parent[v], v))
             unique_cover.add(acc[v] - 1)
@@ -196,8 +202,12 @@ class BridgeReport:
 
 def bridge_report(g: Digraph, threads: int = 1) -> BridgeReport:
     """Both bridge sets from one per-arc scan (twinless strongly connected
-    inputs only)."""
-    if not is_twinless_strongly_connected(g):
+    inputs only).
+
+    The precondition is a strong-connectivity search plus the cover counts
+    of the 2-cut pass, which raises on an underlying bridge.
+    """
+    if not is_strongly_connected(g):
         raise PreconditionError("input is not twinless strongly connected")
     if g.m == 0:
         return BridgeReport(frozenset(), frozenset())

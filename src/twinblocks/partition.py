@@ -5,7 +5,7 @@ same grouping compare equal regardless of how they were produced.
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 from .core import GraphError
 
@@ -13,8 +13,8 @@ from .core import GraphError
 class Partition:
     __slots__ = ("n", "class_of", "_classes")
 
-    def __init__(self, class_of: Sequence[int]):
-        norm: dict[int, int] = {}
+    def __init__(self, class_of: Sequence[Hashable]):
+        norm: dict[Hashable, int] = {}
         canon = []
         for c in class_of:
             if c not in norm:
@@ -77,11 +77,4 @@ def partition_meet(p: Partition, q: Partition) -> Partition:
     one in p and in q."""
     if p.n != q.n:
         raise GraphError(f"universe mismatch: {p.n} != {q.n}")
-    keys: dict[tuple[int, int], int] = {}
-    out = []
-    for v in range(p.n):
-        k = (p.class_of[v], q.class_of[v])
-        if k not in keys:
-            keys[k] = len(keys)
-        out.append(keys[k])
-    return Partition(out)
+    return Partition(list(zip(p.class_of, q.class_of)))

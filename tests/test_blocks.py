@@ -74,6 +74,10 @@ def test_alg1_matrix_budget(monkeypatch):
     monkeypatch.setattr(blocks_mod, "MATRIX_VERTEX_BUDGET", 10)
     with pytest.raises(BudgetError, match="alg2"):
         tetb_alg1_matrix(G_DEMO19)
+    path = Digraph(tuple(str(v) for v in range(11)),
+                   [(v, v + 1) for v in range(10)])
+    with pytest.raises(BudgetError, match="alg2"):  # refused before the scan
+        tetb_alg1_matrix(path)
 
 
 def test_alg2_fixtures_and_modes():
@@ -210,6 +214,13 @@ def test_ketb_validation():
         [(i, j) for i in range(10) for j in range(10) if i != j][:72])
     with pytest.raises(BudgetError, match="budget"):
         k_edge_twinless_blocks_bruteforce(wide, 5)  # C(72,4) > 1e6
+
+
+def test_ketb_huge_k_equals_all_subsets():
+    # no arc subset is larger than m, so k beyond m + 1 adds nothing
+    for g in (C3, K3B):
+        assert k_edge_twinless_blocks_bruteforce(g, 10 ** 9) == \
+            k_edge_twinless_blocks_bruteforce(g, g.m + 1)
 
 
 def test_structural_properties():

@@ -112,6 +112,10 @@ def test_induced_subgraph():
     sub = induced_subgraph(G_DEMO19, keep)
     assert sub.arc_label_pairs() == {("12", "16"), ("16", "18")}
     assert induced_subgraph(C3, {0, 1, 2}) == C3
+    # the 2etb pipeline maps ids back through sorted(keep)
+    whole = induced_subgraph(G_DEMO19, range(G_DEMO19.n))
+    assert whole.arcs == G_DEMO19.arcs
+    assert whole.out_pairs == G_DEMO19.out_pairs
     single = induced_subgraph(C3, {0})
     assert (single.n, single.m) == (1, 0)
     with pytest.raises(GraphError, match="unknown vertex"):

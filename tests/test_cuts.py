@@ -1,8 +1,10 @@
 import pytest
 
-from twinblocks import (GeneratorConfig, PreconditionError, UndirectedGraph,
-                        bridge_report, bridges_undirected, random_digraph,
-                        remove_arcs, strong_bridges, twinless_bridges,
+from twinblocks import (Digraph, GeneratorConfig, PreconditionError,
+                        UndirectedGraph, bridge_report, bridges_undirected,
+                        is_twinless_strongly_connected, random_digraph,
+                        remove_arcs, strong_bridges, tetb_alg1_matrix,
+                        tetb_alg2_refine, twinless_bridges,
                         twinless_strongly_connected_components)
 from twinblocks.cuts import _edges_in_some_two_cut
 from twinblocks.fixtures import C3, G_DEMO19, G_GADGET, K3B, P2
@@ -35,6 +37,50 @@ def test_twinless_bridges_precondition():
     with pytest.raises(PreconditionError,
                        match="input is not twinless strongly connected"):
         twinless_bridges(P2)
+
+
+# strongly connected, but the joining twin pair is an underlying bridge
+TRIANGLES_JOINED_BY_TWINS = Digraph.from_label_pairs(
+    [("a", "b"), ("b", "c"), ("c", "a"), ("x", "y"), ("y", "z"), ("z", "x"),
+     ("a", "x"), ("x", "a")])
+# bridgeless underlying triangle, but c reaches nothing
+TRANSITIVE_TRIANGLE = Digraph.from_label_pairs(
+    [("a", "b"), ("b", "c"), ("a", "c")])
+
+
+def _seeded_graphs(shape: str, count: int) -> list[Digraph]:
+    out = []
+    seed = 0
+    while len(out) < count:
+        cfg = GeneratorConfig(n_range=(1, 7), m_range=(0, 16),
+                              twin_density=(seed % 4) * 0.25,
+                              seed=seed, shape=shape)
+        seed += 1
+        try:
+            out.append(random_digraph(cfg))
+        except PreconditionError:  # infeasible (n, m) for the shape
+            pass
+    return out
+
+
+@pytest.mark.parametrize("analysis", [
+    bridge_report, twinless_bridges, tetb_alg1_matrix, tetb_alg2_refine])
+def test_precondition_matches_reference(analysis):
+    named = [TRIANGLES_JOINED_BY_TWINS, TRANSITIVE_TRIANGLE]
+    assert not any(is_twinless_strongly_connected(g) for g in named)
+    graphs = named + [g for shape in ("any", "strongly-connected",
+                                      "twinless-strongly-connected")
+                      for g in _seeded_graphs(shape, 60)]
+    refused = 0
+    for g in graphs:
+        if is_twinless_strongly_connected(g):
+            analysis(g)
+        else:
+            refused += 1
+            with pytest.raises(PreconditionError,
+                               match="not twinless strongly connected"):
+                analysis(g)
+    assert 0 < refused < len(graphs)
 
 
 def test_bridges_match_definitional_recheck_on_fixtures():
