@@ -161,9 +161,14 @@ class BlockSet:
 
 def _two_edge_block_partition(g: Digraph,
                               bridges: frozenset[int]) -> Partition:
-    """2-edge blocks as a partition, non-block vertices as singletons."""
+    """2-edge blocks as a partition, non-block vertices as singletons.
+
+    Stops once every class is a singleton: no further meet can split one.
+    """
     part = Partition.single_class(g.n)
     for e in sorted(bridges):
+        if part.num_classes == g.n:
+            break
         part = partition_meet(part, Partition(_scc_class_of(g, e)))
     return part
 
@@ -210,6 +215,7 @@ def tetb_alg2_refine(g: Digraph, mode: str = "safe",
     the 2-edge blocks.  mode="faithful" is the 2-edge-block pre-pass met
     with the twinless bridges that are not strong bridges.  That skip is
     exact only when the graph has no strong bridges, so safe is the default.
+    Both modes stop meeting once every class is a singleton.
     """
     if mode not in ("safe", "faithful"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -221,6 +227,8 @@ def tetb_alg2_refine(g: Digraph, mode: str = "safe",
         part = Partition.single_class(g.n)
         refine = rep.twinless_bridges
     for e in sorted(refine):
+        if part.num_classes == g.n:
+            break
         part = partition_meet(part, Partition(_tscc_class_of(g, e)))
     return BlockSet.from_partition(part)
 

@@ -1,24 +1,29 @@
-"""Strong bridges and twinless bridges by per-arc recomputation.
+"""Strong bridges and twinless bridges from dominator trees.
 
-Every arc is rechecked individually against the connectivity it must not
-break; the rechecks lean on two exact reductions so that the scan stays
-usable at tens of thousands of arcs:
-
-* For a strongly connected graph, removing arc (u,v) preserves strong
-  connectivity iff an alternative u -> v path survives (every walk through
-  the arc can be rerouted through that path).  The per-arc check is then a
-  single early-exit bidirectional search instead of a full traversal.
+* The strong bridges of a strongly connected graph G are the bridges of
+  the flowgraph G_0 (G rooted at vertex 0) together with the bridges of
+  its reverse G_0^R, taken by arc id (Italiano, Laura and Santaroni,
+  "Finding strong bridges and strong articulation points in linear time",
+  TCS 2012).  An arc (u,v) is a bridge of a flowgraph iff u is the
+  immediate dominator of v and v dominates every other predecessor of v.
+  The immediate dominators come from the simple Lengauer-Tarjan algorithm
+  ("A fast algorithm for finding dominators in a flowgraph", TOPLAS 1979;
+  path compression, O(m log n)), with an iterative DFS and an iterative
+  compression so that a path n deep needs no recursion.  The two DFS
+  numberings are also the strong-connectivity precondition: both must
+  reach every vertex.
 
 * For a twinless strongly connected graph, removing an arc whose twin
-  survives leaves the underlying graph unchanged, so only the strong
-  connectivity recheck applies.  Removing an unpaired arc deletes exactly
-  one underlying edge, and the 2-edge-connectivity recheck reduces to a
-  precomputed membership test: the deleted edge breaks 2-edge-connectivity
-  iff it belongs to some 2-edge cut of the underlying graph.
+  survives leaves the underlying graph unchanged, so only strong
+  connectivity can break.  Removing an unpaired arc deletes exactly one
+  underlying edge, and that breaks 2-edge-connectivity iff the edge
+  belongs to some 2-edge cut of the underlying graph.  The twinless
+  bridges are therefore the strong bridges plus the unpaired arcs whose
+  underlying edge lies in a 2-edge cut.
 
 Twinless strong connectivity is strong connectivity plus a 2-edge-connected
-underlying graph, so the precondition costs one strong-connectivity search
-and the bridge test that the 2-cut pass makes anyway.
+underlying graph, so the precondition costs the two dominator DFS and the
+bridge test that the 2-cut pass makes anyway.
 
 Arc identity (arc_id), not the endpoint pair, names a bridge; that stays
 unambiguous under antiparallel pairs.
@@ -27,49 +32,139 @@ unambiguous under antiparallel pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .core import (Digraph, GraphError, PreconditionError, UndirectedGraph,
                    twin_arc_ids, underlying_graph)
-from .connectivity import is_strongly_connected
+
+Pairs = Sequence[Sequence[tuple[int, int]]]
 
 
-def _alt_path_exists(g: Digraph, source: int, target: int, skip: int) -> bool:
-    """Is target reachable from source in g minus the arc ``skip``?
+def _immediate_dominators(n: int, succ: Pairs,
+                          pred: Pairs) -> tuple[list[int], list[int]]:
+    """Immediate dominators of the flowgraph rooted at vertex 0.
 
-    Bidirectional breadth-first search: the smaller frontier expands, and
-    the search stops at the first meeting vertex.
+    ``succ[v]`` and ``pred[v]`` hold (neighbour, arc_id) pairs.  Returns
+    ``(order, idom)``: the vertices reachable from 0 in DFS preorder, and
+    per vertex its immediate dominator (-1 for the root and for vertices 0
+    does not reach).  Simple Lengauer-Tarjan; semidominators are compared
+    by preorder number.
     """
-    n = g.n
-    out = g.out_pairs
-    inc = g.in_pairs
-    fseen = bytearray(n)
-    bseen = bytearray(n)
-    fseen[source] = 1
-    bseen[target] = 1
-    ffront = [source]
-    bfront = [target]
-    while ffront and bfront:
-        if len(ffront) <= len(bfront):
-            nxt = []
-            for x in ffront:
-                for y, aid in out[x]:
-                    if aid != skip and not fseen[y]:
-                        if bseen[y]:
-                            return True
-                        fseen[y] = 1
-                        nxt.append(y)
-            ffront = nxt
+    dfn = [-1] * n
+    parent = [-1] * n
+    dfn[0] = 0
+    order = [0]
+    stack = [(0, iter(succ[0]))]
+    while stack:
+        v, it = stack[-1]
+        for w, _ in it:
+            if dfn[w] < 0:
+                dfn[w] = len(order)
+                order.append(w)
+                parent[w] = v
+                stack.append((w, iter(succ[w])))
+                break
         else:
-            nxt = []
-            for x in bfront:
-                for y, aid in inc[x]:
-                    if aid != skip and not bseen[y]:
-                        if fseen[y]:
-                            return True
-                        bseen[y] = 1
-                        nxt.append(y)
-            bfront = nxt
-    return False
+            stack.pop()
+
+    semi = dfn[:]  # preorder number of the semidominator
+    label = list(range(n))
+    anc = [-1] * n  # link-eval forest; -1 marks a forest root
+    idom = [-1] * n
+    bucket: list[list[int]] = [[] for _ in range(n)]
+
+    def evaluate(v: int) -> int:
+        """Vertex of least semi on the forest path above v (root excluded),
+        compressing that path on the way."""
+        if anc[v] < 0:
+            return v
+        path = []
+        x = v
+        while anc[anc[x]] >= 0:
+            path.append(x)
+            x = anc[x]
+        for x in reversed(path):
+            a = anc[x]
+            if semi[label[a]] < semi[label[x]]:
+                label[x] = label[a]
+            anc[x] = anc[a]
+        return label[v]
+
+    for i in range(len(order) - 1, 0, -1):
+        w = order[i]
+        s = semi[w]
+        for v, _ in pred[w]:
+            if dfn[v] >= 0:
+                sv = semi[evaluate(v)]
+                if sv < s:
+                    s = sv
+        semi[w] = s
+        bucket[order[s]].append(w)
+        p = parent[w]
+        anc[w] = p
+        for v in bucket[p]:
+            u = evaluate(v)
+            idom[v] = u if semi[u] < semi[v] else p
+        bucket[p] = []
+    for w in order[1:]:
+        if idom[w] != order[semi[w]]:
+            idom[w] = idom[idom[w]]
+    return order, idom
+
+
+def _flow_bridges(n: int, succ: Pairs, pred: Pairs) -> list[int] | None:
+    """Arc ids of the bridges of the flowgraph rooted at vertex 0, or None
+    when 0 does not reach every vertex.
+
+    Arc (u,v) is a bridge iff u = idom(v) and v dominates every other
+    predecessor of v; dominance is an interval test on a preorder of the
+    dominator tree.
+    """
+    order, idom = _immediate_dominators(n, succ, pred)
+    if len(order) < n:
+        return None
+    # idom(w) precedes w in DFS preorder and a dominator-tree subtree lies
+    # inside the DFS subtree, so one backward and one forward sweep give
+    # subtree sizes and a preorder: v dominates x iff
+    # pre[v] <= pre[x] < pre[v] + size[v].
+    size = [1] * n
+    for w in reversed(order[1:]):
+        size[idom[w]] += size[w]
+    pre = [0] * n
+    nxt = [1] * n  # next free preorder slot among a vertex's children
+    for w in order[1:]:
+        u = idom[w]
+        pre[w] = nxt[u]
+        nxt[u] += size[w]
+        nxt[w] = pre[w] + 1
+    out = []
+    for w in order[1:]:
+        u = idom[w]
+        lo = pre[w]
+        hi = lo + size[w]
+        bridge = -1
+        for x, aid in pred[w]:
+            if x == u:
+                bridge = aid
+            elif not lo <= pre[x] < hi:
+                break
+        else:
+            if bridge >= 0:
+                out.append(bridge)
+    return out
+
+
+def _strong_bridge_ids(g: Digraph, message: str) -> list[int]:
+    """Bridges of G_0 followed by those of G_0^R (an arc may be in both);
+    raises PreconditionError(message) when g is not strongly connected."""
+    if g.n == 0:
+        raise PreconditionError("empty graph")
+    fwd = _flow_bridges(g.n, g.out_pairs, g.in_pairs)
+    rev = None if fwd is None else _flow_bridges(g.n, g.in_pairs, g.out_pairs)
+    if rev is None:
+        raise PreconditionError(message)
+    fwd.extend(rev)
+    return fwd
 
 
 def strong_bridges(g: Digraph, threads: int = 1) -> frozenset[int]:
@@ -77,10 +172,7 @@ def strong_bridges(g: Digraph, threads: int = 1) -> frozenset[int]:
 
     Requires a strongly connected input.
     """
-    if not is_strongly_connected(g):
-        raise PreconditionError("input is not strongly connected")
-    return frozenset(a.arc_id for a in g.arcs
-                     if not _alt_path_exists(g, a.source, a.target, a.arc_id))
+    return frozenset(_strong_bridge_ids(g, "input is not strongly connected"))
 
 
 def _norm_edge(a: int, b: int) -> tuple[int, int]:
@@ -201,28 +293,23 @@ class BridgeReport:
 
 
 def bridge_report(g: Digraph, threads: int = 1) -> BridgeReport:
-    """Both bridge sets from one per-arc scan (twinless strongly connected
-    inputs only).
+    """Both bridge sets (twinless strongly connected inputs only).
 
-    The precondition is a strong-connectivity search plus the cover counts
-    of the 2-cut pass, which raises on an underlying bridge.
+    The precondition is the strong-connectivity test of the two dominator
+    DFS plus the cover counts of the 2-cut pass, which raises on an
+    underlying bridge.
     """
-    if not is_strongly_connected(g):
-        raise PreconditionError("input is not twinless strongly connected")
-    if g.m == 0:
-        return BridgeReport(frozenset(), frozenset())
+    # kept as a list, not a set, through the 2-cut pass: that pass is the
+    # memory peak of a bridge report
+    strong_ids = _strong_bridge_ids(
+        g, "input is not twinless strongly connected")
     two_cut = _edges_in_some_two_cut(underlying_graph(g))
+    strong = frozenset(strong_ids)
     twin = twin_arc_ids(g)
-    strong = []
-    twinless = []
-    for a in g.arcs:
-        if not _alt_path_exists(g, a.source, a.target, a.arc_id):
-            strong.append(a.arc_id)  # a strong bridge is a twinless bridge
-            twinless.append(a.arc_id)
-        elif (twin[a.arc_id] == -1
-              and _norm_edge(a.source, a.target) in two_cut):
-            twinless.append(a.arc_id)
-    return BridgeReport(frozenset(strong), frozenset(twinless))
+    twinless = strong.union(
+        a.arc_id for a in g.arcs
+        if twin[a.arc_id] == -1 and _norm_edge(a.source, a.target) in two_cut)
+    return BridgeReport(strong, twinless)
 
 
 def twinless_bridges(g: Digraph, threads: int = 1) -> frozenset[int]:

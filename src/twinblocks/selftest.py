@@ -85,10 +85,14 @@ def run_selftest(out=print) -> int:
         h = random_digraph(cfg)
         if len(twin_pairs(h)) > 8:
             continue
+        bridges = twinless_bridges(h)
+        recheck = {a.arc_id for a in h.arcs
+                   if twinless_strongly_connected_components(
+                       remove_arcs(h, {a.arc_id})).num_classes > 1}
         ok = (twinless_strongly_connected_components(h) == oracle_tscc(h)
               and tetb_alg1_matrix(h) == tetb_alg2_refine(h, "safe")
               == oracle_two_edge_twinless_blocks(h)
-              and len(twinless_bridges(h)) <= 2 * h.n - 2)
+              and bridges == recheck and len(bridges) <= 2 * h.n - 2)
         if not ok:
             bad += 1
     check(f"{RANDOM_ROUNDS} seeded random instances agree with the oracles",

@@ -1,8 +1,9 @@
 """Shared test utilities: label rendering and definitional rechecks.
 
 The rechecks here are deliberately naive (remove the arc, re-test the
-property from scratch); they are the reference implementations the fast
-per-arc scans are validated against.
+property on the whole reduced graph); they are the reference
+implementations the dominator-tree bridges and the 2-cut membership are
+validated against.
 """
 from __future__ import annotations
 

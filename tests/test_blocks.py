@@ -138,6 +138,32 @@ def test_adversarial_shapes_match_oracle(g, b_s, b_t):
     assert tetb_alg2_refine(g, "faithful") == expected
 
 
+@pytest.mark.parametrize("g", [cycle(9), path_fan(13)],
+                         ids=["cycle", "path-fan"])
+def test_alg2_stops_once_all_singletons(g, monkeypatch):
+    passes = []
+
+    def counted(kernel):
+        def wrapper(h, skip=-1):
+            passes.append(skip)
+            return kernel(h, skip)
+        return wrapper
+
+    monkeypatch.setattr(blocks_mod, "_tscc_class_of",
+                        counted(blocks_mod._tscc_class_of))
+    monkeypatch.setattr(blocks_mod, "_scc_class_of",
+                        counted(blocks_mod._scc_class_of))
+    assert bridge_report(g).b_t == g.n  # n passes without the prune
+    expected = oracle_two_edge_twinless_blocks(g)
+    for mode in ("safe", "faithful"):
+        passes.clear()
+        assert tetb_alg2_refine(g, mode) == expected
+        assert len(passes) <= 1, mode
+    passes.clear()
+    assert two_edge_blocks(g) == BlockSet(frozenset())
+    assert len(passes) <= 1
+
+
 def test_pipeline_examples():
     assert label_blocks(G_DEMO19, two_edge_twinless_blocks(G_DEMO19)) == {
         frozenset({"2", "5"}), frozenset({"12", "18"})}

@@ -6,11 +6,11 @@ from twinblocks import (Digraph, GeneratorConfig, PreconditionError,
                         remove_arcs, strong_bridges, tetb_alg1_matrix,
                         tetb_alg2_refine, twinless_bridges,
                         twinless_strongly_connected_components)
-from twinblocks.cuts import _edges_in_some_two_cut
+from twinblocks.cuts import _edges_in_some_two_cut, _immediate_dominators
 from twinblocks.fixtures import C3, G_DEMO19, G_GADGET, K3B, P2
 
-from helpers import (labels_of_arcs, naive_strong_bridges,
-                     naive_twinless_bridges, tsc_instances)
+from helpers import (blob_chain, cycle, labels_of_arcs, naive_strong_bridges,
+                     naive_twinless_bridges, path_fan, tsc_instances)
 
 
 def test_strong_bridges_examples():
@@ -84,7 +84,8 @@ def test_precondition_matches_reference(analysis):
 
 
 def test_bridges_match_definitional_recheck_on_fixtures():
-    for g in (C3, K3B, G_DEMO19, G_GADGET):
+    for g in (C3, K3B, G_DEMO19, G_GADGET, cycle(8), path_fan(9),
+              blob_chain(3, 3), blob_chain(2, 4)):
         assert strong_bridges(g) == naive_strong_bridges(g)
         assert twinless_bridges(g) == naive_twinless_bridges(g)
 
@@ -113,6 +114,60 @@ def test_strong_subset_twinless_and_bound():
         assert rep.twinless_bridges == twinless_bridges(g)
         assert rep.b_s == len(rep.strong_bridges)
         assert rep.b_t == len(rep.twinless_bridges)
+
+
+def _reached_from_root(succ, removed: int) -> set[int]:
+    """Vertices reachable from 0 without passing through ``removed``."""
+    if removed == 0:
+        return set()
+    seen = {0}
+    stack = [0]
+    while stack:
+        for w, _ in succ[stack.pop()]:
+            if w != removed and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def test_dominators_match_bruteforce_in_both_directions():
+    graphs = [g for shape in ("any", "strongly-connected")
+              for g in _seeded_graphs(shape, 80)]
+    graphs += [random_digraph(GeneratorConfig(
+        n_range=(8, 20), m_range=(10, 45), twin_density=0.2, seed=seed,
+        shape="any")) for seed in range(40)]
+    graphs += [G_DEMO19, G_GADGET, path_fan(15), blob_chain(3, 3)]
+    for g in graphs:
+        for succ, pred in ((g.out_pairs, g.in_pairs),
+                           (g.in_pairs, g.out_pairs)):
+            order, idom = _immediate_dominators(g.n, succ, pred)
+            reach = _reached_from_root(succ, -1)
+            assert sorted(order) == sorted(reach) and order[0] == 0
+            for w in range(g.n):
+                if w not in reach or w == 0:
+                    assert idom[w] == -1
+                    continue
+                # v strictly dominates w iff w is unreachable in G - v
+                dominators = {v for v in reach if v != w
+                              and w not in _reached_from_root(succ, v)}
+                chain = set()
+                d = idom[w]
+                while d != -1:
+                    chain.add(d)
+                    d = idom[d]
+                assert chain == dominators
+
+
+def test_strong_bridges_match_recheck_on_strongly_connected_graphs():
+    graphs = _seeded_graphs("strongly-connected", 200)
+    assert sum(not is_twinless_strongly_connected(g) for g in graphs) > 20
+    for g in graphs:
+        assert strong_bridges(g) == naive_strong_bridges(g)
+
+
+def test_strong_bridges_on_a_deep_path_need_no_recursion():
+    g = path_fan(20001)
+    assert len(strong_bridges(g)) == g.n
 
 
 def test_threads_do_not_change_results():
