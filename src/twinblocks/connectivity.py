@@ -87,32 +87,11 @@ def strongly_connected_components(g: Digraph) -> Partition:
     return Partition(_scc_class_of(g))
 
 
-def _reaches_all(adj: tuple[tuple[tuple[int, int], ...], ...], n: int,
-                 start: int) -> bool:
-    seen = bytearray(n)
-    seen[start] = 1
-    frontier = [start]
-    count = 1
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v, _aid in adj[u]:
-                if not seen[v]:
-                    seen[v] = 1
-                    count += 1
-                    nxt.append(v)
-        frontier = nxt
-    return count == n
-
-
 def is_strongly_connected(g: Digraph) -> bool:
     """True iff the SCC partition has exactly one class; O(n + m)."""
     if g.n == 0:
         raise PreconditionError("empty graph")
-    if g.n == 1:
-        return True
-    return (_reaches_all(g.out_pairs, g.n, 0)
-            and _reaches_all(g.in_pairs, g.n, 0))
+    return not any(_scc_class_of(g))
 
 
 def connected_components(u: UndirectedGraph) -> Partition:

@@ -18,8 +18,13 @@
   connectivity can break.  Removing an unpaired arc deletes exactly one
   underlying edge, and that breaks 2-edge-connectivity iff the edge
   belongs to some 2-edge cut of the underlying graph.  The twinless
-  bridges are therefore the strong bridges plus the unpaired arcs whose
-  underlying edge lies in a 2-edge cut.
+  bridges are therefore the strong bridges plus the arc ids of those
+  unpaired arcs.  They come from one DFS of the underlying graph, walked
+  on the digraph's own in- and out-arcs: a tree edge with a single
+  covering back edge forms a 2-edge cut with it, and two tree edges form
+  one iff one lies above the other and both have the same (cover count,
+  high) key, where high is the deepest upper end among the covers
+  (union-find, near-linear; no hashing and no second graph).
 
 Twinless strong connectivity is strong connectivity plus a 2-edge-connected
 underlying graph, so the precondition costs the two dominator DFS and the
@@ -32,10 +37,10 @@ unambiguous under antiparallel pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
-from .core import (Digraph, GraphError, PreconditionError, UndirectedGraph,
-                   twin_arc_ids, underlying_graph)
+from .core import Digraph, GraphError, PreconditionError, twin_arc_ids
 
 Pairs = Sequence[Sequence[tuple[int, int]]]
 
@@ -175,105 +180,104 @@ def strong_bridges(g: Digraph, threads: int = 1) -> frozenset[int]:
     return frozenset(_strong_bridge_ids(g, "input is not strongly connected"))
 
 
-def _norm_edge(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a < b else (b, a)
+def _unpaired_two_cut_arcs(g: Digraph, twin: Sequence[int]) -> list[int]:
+    """Arc ids of the unpaired arcs whose underlying edge lies in a 2-edge
+    cut; raises PreconditionError when the underlying graph has a bridge.
 
+    One DFS of the underlying graph over in- and out-arcs makes every other
+    edge a back edge, which covers the tree path between its ends.  The
+    tree edge into v has ``cnt[v]`` covers with arc-id XOR ``acc[v]``; a
+    2-edge cut is a tree edge with a single cover plus that cover, or two
+    tree edges with equal cover sets, which then lie on one root path.  Let
+    ``high[v]`` be the largest preorder number of an upper end among v's
+    covers.  For u an ancestor of v, equal cover sets mean equal
+    (cnt, high) keys, and equal keys mean equal cover sets: high[v] lies
+    above u, so all of v's covers cover u, and cnt leaves u no others.
 
-def _edges_in_some_two_cut(u: UndirectedGraph) -> frozenset[tuple[int, int]]:
-    """Edges of a connected bridgeless graph that lie in some 2-edge cut.
-
-    Equivalently: the edges e for which ``u`` minus e has a bridge.  With a
-    DFS tree, a 2-edge cut is either a tree edge together with the single
-    back edge covering it, or two tree edges with identical covering back
-    edge sets.  Cover cardinalities and cover-set ids come from one subtree
-    aggregation pass; candidate equal-cover groups (bucketed by size and
-    id-XOR) are verified exactly before being accepted.  A bridge (a tree
-    edge no back edge covers) raises PreconditionError: a digraph whose
-    underlying graph is ``u`` is then not twinless strongly connected.
+    So v is compared only with the last vertex w before it in preorder
+    that has its key.  If an ancestor a of v has the key but w is not an
+    ancestor of v, then w lies below a beside v, and the back edge giving
+    ``high[w]`` covers a but not v: a contradiction.
     """
-    n = u.n
-    if n <= 1:
-        return frozenset()
-    adj = u.adjacency
+    n = g.n
+    out = g.out_pairs
+    inc = g.in_pairs
     parent = [-1] * n
-    tin = [-1] * n
-    tout = [0] * n
-    order: list[int] = []
-    timer = 0
-    tin[0] = timer
-    timer += 1
-    order.append(0)
-    stack: list[tuple[int, int]] = [(0, 0)]
-    while stack:
-        v, i = stack[-1]
-        if i < len(adj[v]):
-            stack[-1] = (v, i + 1)
-            w = adj[v][i]
-            if tin[w] == -1:
+    disc = [-1] * n
+    tout = [0] * n  # largest preorder number in v's subtree
+    disc[0] = 0
+    order = [0]
+    work = [(0, chain(out[0], inc[0]))]
+    while work:
+        v, arcs = work[-1]
+        for w, _ in arcs:
+            if disc[w] < 0:
                 parent[w] = v
-                tin[w] = timer
-                timer += 1
+                disc[w] = len(order)
                 order.append(w)
-                stack.append((w, 0))
+                work.append((w, chain(out[w], inc[w])))
+                break
         else:
-            tout[v] = timer - 1
-            stack.pop()
-    if timer != n:
+            tout[v] = len(order) - 1
+            work.pop()
+    if len(order) != n:
         raise GraphError("internal: underlying graph is not connected")
 
-    back: list[tuple[int, int]] = []  # (descendant, ancestor)
-    for a, b in sorted(u.edges):
-        if parent[a] == b or parent[b] == a:
-            continue
-        back.append((a, b) if tin[a] > tin[b] else (b, a))
-
-    # cover count and cover id-XOR per tree edge (keyed by child vertex):
-    # +1 at the descendant endpoint and -1 at the ancestor endpoint turn a
-    # subtree sum into "back edges with exactly one endpoint below here".
+    # +1 at the lower end and -1 at the upper end turn a subtree sum into
+    # "back edges with exactly one endpoint below here"
     cnt = [0] * n
     acc = [0] * n
-    for idx, (d, anc) in enumerate(back):
-        bid = idx + 1
+    lower_ends: list[list[int]] = [[] for _ in range(n)]  # by upper end
+    for s, t, aid in g.arcs:
+        if parent[t] == s or parent[s] == t or twin[aid] > aid:
+            continue  # tree edge, or the twin stands for this edge
+        d, a = (s, t) if disc[s] > disc[t] else (t, s)
         cnt[d] += 1
-        cnt[anc] -= 1
-        acc[d] ^= bid
-        acc[anc] ^= bid
+        cnt[a] -= 1
+        acc[d] ^= aid
+        acc[a] ^= aid
+        lower_ends[a].append(d)
     for v in reversed(order):
         p = parent[v]
         if p != -1:
             cnt[p] += cnt[v]
             acc[p] ^= acc[v]
 
-    result: set[tuple[int, int]] = set()
-    unique_cover: set[int] = set()
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for v in order[1:]:
-        if cnt[v] == 0:
-            raise PreconditionError("input is not twinless strongly connected")
-        if cnt[v] == 1:
-            result.add(_norm_edge(parent[v], v))
-            unique_cover.add(acc[v] - 1)
-        else:
-            buckets.setdefault((cnt[v], acc[v]), []).append(v)
-    for idx in unique_cover:
-        d, anc = back[idx]
-        result.add(_norm_edge(d, anc))
+    # high[] by union-find: upper ends in decreasing preorder, each back
+    # edge labels the unlabelled tree path from its lower end up, and a
+    # labelled vertex is joined to its parent
+    high = [-1] * n
+    jump = list(range(n))
+    for a in reversed(order):
+        h = disc[a]
+        for x in lower_ends[a]:
+            while True:
+                while jump[x] != x:  # path halving
+                    jump[x] = x = jump[jump[x]]
+                if disc[x] <= h:
+                    break
+                high[x] = h
+                jump[x] = x = parent[x]
 
-    for verts in buckets.values():
-        if len(verts) < 2:
+    cut = bytearray(n)  # the tree edge into v lies in a 2-edge cut
+    unique_cover: set[int] = set()
+    last: dict[tuple[int, int], int] = {}
+    for v in order[1:]:
+        c = cnt[v]
+        if c == 0:
+            raise PreconditionError("input is not twinless strongly connected")
+        if c == 1:
+            cut[v] = 1
+            unique_cover.add(acc[v])
             continue
-        exact: dict[frozenset[int], list[int]] = {}
-        for v in verts:
-            lo, hi = tin[v], tout[v]
-            cover = frozenset(
-                i for i, (d, anc) in enumerate(back)
-                if lo <= tin[d] <= hi and not lo <= tin[anc] <= hi)
-            exact.setdefault(cover, []).append(v)
-        for vs in exact.values():
-            if len(vs) >= 2:
-                for v in vs:
-                    result.add(_norm_edge(parent[v], v))
-    return frozenset(result)
+        key = (c, high[v])
+        u = last.get(key)
+        if u is not None and disc[v] <= tout[u]:
+            cut[u] = cut[v] = 1
+        last[key] = v
+    return [aid for s, t, aid in g.arcs if twin[aid] < 0 and (
+        cut[t] if parent[t] == s else cut[s] if parent[s] == t
+        else aid in unique_cover)]
 
 
 @dataclass(frozen=True)
@@ -303,12 +307,9 @@ def bridge_report(g: Digraph, threads: int = 1) -> BridgeReport:
     # memory peak of a bridge report
     strong_ids = _strong_bridge_ids(
         g, "input is not twinless strongly connected")
-    two_cut = _edges_in_some_two_cut(underlying_graph(g))
+    two_cut = _unpaired_two_cut_arcs(g, twin_arc_ids(g))
     strong = frozenset(strong_ids)
-    twin = twin_arc_ids(g)
-    twinless = strong.union(
-        a.arc_id for a in g.arcs
-        if twin[a.arc_id] == -1 and _norm_edge(a.source, a.target) in two_cut)
+    twinless = strong.union(two_cut)
     return BridgeReport(strong, twinless)
 
 

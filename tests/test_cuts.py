@@ -1,12 +1,15 @@
+import random
+
 import pytest
 
 from twinblocks import (Digraph, GeneratorConfig, PreconditionError,
                         UndirectedGraph, bridge_report, bridges_undirected,
                         is_twinless_strongly_connected, random_digraph,
                         remove_arcs, strong_bridges, tetb_alg1_matrix,
-                        tetb_alg2_refine, twinless_bridges,
-                        twinless_strongly_connected_components)
-from twinblocks.cuts import _edges_in_some_two_cut, _immediate_dominators
+                        tetb_alg2_refine, twin_arc_ids, twinless_bridges,
+                        twinless_strongly_connected_components,
+                        underlying_graph)
+from twinblocks.cuts import _immediate_dominators, _unpaired_two_cut_arcs
 from twinblocks.fixtures import C3, G_DEMO19, G_GADGET, K3B, P2
 
 from helpers import (blob_chain, cycle, labels_of_arcs, naive_strong_bridges,
@@ -168,6 +171,8 @@ def test_strong_bridges_match_recheck_on_strongly_connected_graphs():
 def test_strong_bridges_on_a_deep_path_need_no_recursion():
     g = path_fan(20001)
     assert len(strong_bridges(g)) == g.n
+    rep = bridge_report(g)  # the 2-cut DFS and union-find go n deep too
+    assert rep.b_s == rep.b_t == g.n
 
 
 def test_threads_do_not_change_results():
@@ -185,6 +190,19 @@ def brute_edges_in_some_two_cut(u: UndirectedGraph) -> frozenset:
     return frozenset(out)
 
 
+def brute_unpaired_two_cut_arcs(g: Digraph) -> list[int]:
+    """Unpaired arcs whose underlying edge the brute force puts in a
+    2-edge cut."""
+    cut = brute_edges_in_some_two_cut(underlying_graph(g))
+    twin = twin_arc_ids(g)
+    return [a.arc_id for a in g.arcs if twin[a.arc_id] < 0
+            and (min(a.source, a.target), max(a.source, a.target)) in cut]
+
+
+def _two_cut_arcs(g: Digraph) -> list[int]:
+    return sorted(_unpaired_two_cut_arcs(g, twin_arc_ids(g)))
+
+
 def test_two_cut_membership_matches_bruteforce():
     checked = 0
     seed = 0
@@ -197,11 +215,46 @@ def test_two_cut_membership_matches_bruteforce():
         if bridges_undirected(u):
             continue  # helper contract: bridgeless input
         checked += 1
-        assert _edges_in_some_two_cut(u) == brute_edges_in_some_two_cut(u)
+        assert _two_cut_arcs(g) == brute_unpaired_two_cut_arcs(g)
 
 
 def test_two_cut_membership_on_cycle_and_clique():
-    cycle = UndirectedGraph(5, [(i, (i + 1) % 5) for i in range(5)])
-    assert _edges_in_some_two_cut(cycle) == cycle.edges  # every pair is a cut
-    clique = UndirectedGraph(4, [(i, j) for i in range(4) for j in range(i)])
-    assert _edges_in_some_two_cut(clique) == frozenset()
+    assert _two_cut_arcs(cycle(5)) == list(range(5))  # every pair is a cut
+    # twin-free strongly connected orientation of K4: 3-edge-connected
+    k4 = Digraph.from_label_pairs(
+        [("0", "1"), ("1", "2"), ("2", "3"), ("3", "0"), ("0", "2"),
+         ("1", "3")])
+    assert is_twinless_strongly_connected(k4)
+    assert _two_cut_arcs(k4) == []
+
+
+# DFS 0-1-2-4, then 1-3-5: the sibling subtrees below 1 both have two
+# covers reaching up to 0, so their tree edges share a (count, high) key
+# without sharing a cover set
+SIBLINGS_WITH_EQUAL_KEYS = Digraph.from_label_pairs(
+    [("0", "1"), ("1", "2"), ("2", "4"), ("4", "0"), ("2", "0"), ("1", "3"),
+     ("3", "5"), ("5", "0"), ("3", "0")])
+
+
+def test_two_cut_membership_matches_bruteforce_on_larger_graphs():
+    graphs = [cycle(12), path_fan(41), blob_chain(4, 3), blob_chain(3, 4),
+              SIBLINGS_WITH_EQUAL_KEYS]
+    seed = 0
+    while len(graphs) < 305:
+        n = 10 + seed % 31
+        g = random_digraph(GeneratorConfig(
+            n_range=(n, n), m_range=(n + n // 2, 3 * n),
+            twin_density=(seed % 10) * 0.1, seed=seed,
+            shape="twinless-strongly-connected"))
+        # the generator's arcs start with a Hamiltonian cycle, which the
+        # DFS would follow as an unbranched path; shuffled arc ids branch it
+        arcs = [(a.source, a.target) for a in g.arcs]
+        random.Random(seed).shuffle(arcs)
+        graphs.append(Digraph(g.labels, arcs))
+        seed += 1
+    nonempty_large = 0
+    for g in graphs:
+        found = _two_cut_arcs(g)
+        assert found == brute_unpaired_two_cut_arcs(g)
+        nonempty_large += bool(found) and g.n >= 20
+    assert nonempty_large > 100
