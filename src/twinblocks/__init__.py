@@ -6,25 +6,25 @@ plus a brute-force oracle layer), and a k-edge-twinless generalization.
 """
 
 from .core import (Arc, BudgetError, Digraph, GraphError, ParseError,
-                   PreconditionError, TwinPair, UndirectedGraph,
-                   induced_subgraph, parse_edge_list, remove_arcs, serialize,
-                   twin_arc_ids, twin_pairs, underlying_graph)
+                   PreconditionError, TwinPair, induced_subgraph,
+                   parse_edge_list, remove_arcs, serialize, twin_arc_ids,
+                   twin_pairs)
 from .partition import Partition, partition_meet
-from .connectivity import (CondensationTree, bridges_undirected,
-                           condensation_tscc, connected_components,
+from .connectivity import (CondensationTree, condensation_tscc,
                            is_strongly_connected,
                            is_twinless_strongly_connected,
                            strongly_connected_components,
-                           twinless_strongly_connected_components,
-                           two_edge_connected_components)
+                           twinless_strongly_connected_components)
 from .cuts import BridgeReport, bridge_report, strong_bridges, twinless_bridges
 from .blocks import (BlockSet, SeparationMatrix,
                      k_edge_twinless_blocks_bruteforce, tetb_alg1_matrix,
                      tetb_alg2_refine, two_edge_blocks,
                      two_edge_twinless_blocks)
-from .testkit import (GeneratorConfig, oracle_tscc,
+from .testkit import (GeneratorConfig, UndirectedGraph, bridges_undirected,
+                      connected_components, oracle_tscc,
                       oracle_twinless_related,
-                      oracle_two_edge_twinless_blocks, random_digraph)
+                      oracle_two_edge_twinless_blocks, random_digraph,
+                      two_edge_connected_components, underlying_graph)
 from . import fixtures
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Strong, undirected, and twinless connectivity.
+"""Strong and twinless connectivity.
 
 Twinless strongly connected components are computed per strongly connected
 component as the 2-edge-connected components of its underlying undirected
@@ -11,16 +11,15 @@ oracle is ground truth and the mismatch must be reported, not patched.
 
 Both stages traverse the digraph's own adjacency, optionally with one arc
 skipped: Tarjan's SCC pass, then one undirected low-link DFS that stays
-inside each SCC; no undirected graph is built.  ``UndirectedGraph`` and its
-helpers stay as public API and as the reference the tests compare against.
+inside each SCC; no undirected graph is built.  Twin ids come from the
+graph, which derives them once; the undirected references are in testkit.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
 
-from .core import (Digraph, PreconditionError, TwinPair, UndirectedGraph,
-                   twin_arc_ids)
+from .core import Digraph, PreconditionError, TwinPair
 from .partition import Partition
 
 
@@ -92,87 +91,6 @@ def is_strongly_connected(g: Digraph) -> bool:
     if g.n == 0:
         raise PreconditionError("empty graph")
     return not any(_scc_class_of(g))
-
-
-def connected_components(u: UndirectedGraph) -> Partition:
-    class_of = [-1] * u.n
-    comp = 0
-    for root in range(u.n):
-        if class_of[root] != -1:
-            continue
-        class_of[root] = comp
-        frontier = [root]
-        while frontier:
-            x = frontier.pop()
-            for y in u.adjacency[x]:
-                if class_of[y] == -1:
-                    class_of[y] = comp
-                    frontier.append(y)
-        comp += 1
-    return Partition(class_of)
-
-
-def bridges_undirected(u: UndirectedGraph) -> set[tuple[int, int]]:
-    """Edges whose removal increases the component count (DFS low-link).
-
-    The graph is simple, so skipping the parent vertex once per child is a
-    sound substitute for skipping the traversal edge.
-    """
-    n = u.n
-    adj = u.adjacency
-    disc = [-1] * n
-    low = [0] * n
-    parent = [-1] * n
-    bridges: set[tuple[int, int]] = set()
-    timer = 0
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        disc[root] = low[root] = timer
-        timer += 1
-        stack: list[tuple[int, int]] = [(root, 0)]
-        while stack:
-            v, i = stack[-1]
-            if i < len(adj[v]):
-                stack[-1] = (v, i + 1)
-                w = adj[v][i]
-                if disc[w] == -1:
-                    parent[w] = v
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, 0))
-                elif w != parent[v] and disc[w] < low[v]:
-                    low[v] = disc[w]
-            else:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    if low[v] < low[p]:
-                        low[p] = low[v]
-                    if low[v] > disc[p]:
-                        bridges.add((p, v) if p < v else (v, p))
-    return bridges
-
-
-def two_edge_connected_components(u: UndirectedGraph) -> Partition:
-    """Connected components after deleting all bridges."""
-    cut = bridges_undirected(u)
-    class_of = [-1] * u.n
-    comp = 0
-    for root in range(u.n):
-        if class_of[root] != -1:
-            continue
-        class_of[root] = comp
-        frontier = [root]
-        while frontier:
-            x = frontier.pop()
-            for y in u.adjacency[x]:
-                key = (x, y) if x < y else (y, x)
-                if class_of[y] == -1 and key not in cut:
-                    class_of[y] = comp
-                    frontier.append(y)
-        comp += 1
-    return Partition(class_of)
 
 
 def _tscc_class_of(g: Digraph, skip: int = -1) -> list[int]:
@@ -266,7 +184,7 @@ def condensation_tscc(g: Digraph) -> CondensationTree:
     if not is_strongly_connected(g):
         raise PreconditionError("input is not strongly connected")
     p = twinless_strongly_connected_components(g)
-    twin = twin_arc_ids(g)
+    twin = g._twin
     crossing: dict[tuple[int, int], list[TwinPair]] = {}
     for a in g.arcs:
         cu, cv = p.class_of[a.source], p.class_of[a.target]

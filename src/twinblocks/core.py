@@ -6,9 +6,14 @@ reports translate back to labels.  Graphs are immutable after construction:
 arc removal and induced subgraphs build new values, and per-arc analyses
 traverse the same graph with one arc skipped instead of rebuilding it.
 
+One arc store, the id-ordered ``(source, target) -> arc_id`` dict, yields
+arcs, adjacency and twin ids once per graph.  ``Digraph(labels, pairs)``
+checks every arc; the parser, ``remove_arcs`` and ``induced_subgraph``
+check only their own input and hand their store to the same builder.
+
 Simple digraphs only: self-loops are rejected everywhere, duplicate arcs are
 rejected in strict parsing mode (antiparallel-pair semantics are undefined
-for parallel arcs).
+for parallel arcs).  The undirected reference graph lives in ``testkit``.
 """
 from __future__ import annotations
 
@@ -58,7 +63,7 @@ class Digraph:
     """
 
     __slots__ = ("n", "m", "arcs", "labels", "out_pairs", "in_pairs",
-                 "_label_ids", "_arc_ids")
+                 "_label_ids", "_arc_ids", "_twin")
 
     def __init__(self, labels: Iterable[str], pairs: Iterable[tuple[int, int]]):
         labels = tuple(labels)
@@ -66,7 +71,6 @@ class Digraph:
         label_ids = {lab: v for v, lab in enumerate(labels)}
         if len(label_ids) != n:
             raise GraphError("labels are not unique")
-        arcs = []
         arc_ids: dict[tuple[int, int], int] = {}
         for u, v in pairs:
             if not (0 <= u < n and 0 <= v < n):
@@ -76,21 +80,37 @@ class Digraph:
             if (u, v) in arc_ids:
                 raise GraphError(
                     f"duplicate arc {labels[u]!r} -> {labels[v]!r}")
-            arc_ids[(u, v)] = len(arcs)
-            arcs.append(Arc(u, v, len(arcs)))
+            arc_ids[(u, v)] = len(arc_ids)
+        self._build(labels, label_ids, arc_ids)
+
+    @classmethod
+    def _from_store(cls, labels: tuple[str, ...], label_ids: dict[str, int],
+                    arc_ids: dict[tuple[int, int], int]) -> "Digraph":
+        """A graph over parts the caller has already validated."""
+        g = cls.__new__(cls)
+        g._build(labels, label_ids, arc_ids)
+        return g
+
+    def _build(self, labels: tuple[str, ...], label_ids: dict[str, int],
+               arc_ids: dict[tuple[int, int], int]) -> None:
+        """Derive arcs, adjacency and twin ids from the id-ordered store."""
+        n = len(labels)
         out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         inc: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for a in arcs:
-            out[a.source].append((a.target, a.arc_id))
-            inc[a.target].append((a.source, a.arc_id))
+        twin = []
+        for (u, v), aid in arc_ids.items():
+            out[u].append((v, aid))
+            inc[v].append((u, aid))
+            twin.append(arc_ids.get((v, u), -1))
         self.n = n
-        self.m = len(arcs)
-        self.arcs = tuple(arcs)
+        self.m = len(arc_ids)
+        self.arcs = tuple(Arc(u, v, aid) for (u, v), aid in arc_ids.items())
         self.labels = labels
-        self.out_pairs = tuple(tuple(x) for x in out)
-        self.in_pairs = tuple(tuple(x) for x in inc)
+        self.out_pairs = tuple(map(tuple, out))
+        self.in_pairs = tuple(map(tuple, inc))
         self._label_ids = label_ids
         self._arc_ids = arc_ids
+        self._twin = tuple(twin)
 
     @classmethod
     def from_label_pairs(cls, pairs: Iterable[tuple[str, str]]) -> "Digraph":
@@ -101,10 +121,8 @@ class Digraph:
         label_ids: dict[str, int] = {}
         id_pairs = []
         for a, b in pairs:
-            for tok in (a, b):
-                if tok not in label_ids:
-                    label_ids[tok] = len(label_ids)
-            id_pairs.append((label_ids[a], label_ids[b]))
+            id_pairs.append((label_ids.setdefault(a, len(label_ids)),
+                             label_ids.setdefault(b, len(label_ids))))
         return cls(tuple(label_ids), id_pairs)
 
     def vertex(self, label: str) -> int:
@@ -139,39 +157,6 @@ class Digraph:
         return f"Digraph(n={self.n}, m={self.m})"
 
 
-class UndirectedGraph:
-    """Multiplicity-collapsed undirected graph: at most one edge per pair.
-
-    Edges are stored as (a, b) tuples with a < b.  Adjacency lists are
-    sorted, so traversal orders are deterministic.
-    """
-
-    __slots__ = ("n", "edges", "adjacency")
-
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        norm = set()
-        for a, b in edges:
-            if not (0 <= a < n and 0 <= b < n):
-                raise GraphError(f"edge ({a},{b}) references unknown vertex")
-            if a == b:
-                raise GraphError(f"self-edge at vertex {a}")
-            norm.add((a, b) if a < b else (b, a))
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for a, b in norm:
-            adj[a].append(b)
-            adj[b].append(a)
-        self.n = n
-        self.edges = frozenset(norm)
-        self.adjacency = tuple(tuple(sorted(x)) for x in adj)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    def __repr__(self) -> str:
-        return f"UndirectedGraph(n={self.n}, edges={len(self.edges)})"
-
-
 def parse_edge_list(text: str, mode: str = "strict") -> Digraph:
     """Parse edge-list text into a Digraph.
 
@@ -186,8 +171,7 @@ def parse_edge_list(text: str, mode: str = "strict") -> Digraph:
     if mode not in ("strict", "lenient"):
         raise ValueError(f"unknown parse mode {mode!r}")
     label_ids: dict[str, int] = {}
-    pairs: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    arc_ids: dict[tuple[int, int], int] = {}
     dropped = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -200,20 +184,17 @@ def parse_edge_list(text: str, mode: str = "strict") -> Digraph:
         a, b = tokens
         if a == b:
             raise ParseError(f"line {lineno}: self-loop at {a!r}")
-        for tok in (a, b):
-            if tok not in label_ids:
-                label_ids[tok] = len(label_ids)
-        uv = (label_ids[a], label_ids[b])
-        if uv in seen:
+        uv = (label_ids.setdefault(a, len(label_ids)),
+              label_ids.setdefault(b, len(label_ids)))
+        if uv in arc_ids:
             if mode == "strict":
                 raise ParseError(f"line {lineno}: duplicate arc {a!r} -> {b!r}")
             dropped += 1
             continue
-        seen.add(uv)
-        pairs.append(uv)
+        arc_ids[uv] = len(arc_ids)
     if dropped:
         warnings.warn(f"dropped {dropped} duplicate arc(s)", stacklevel=2)
-    return Digraph(tuple(label_ids), pairs)
+    return Digraph._from_store(tuple(label_ids), label_ids, arc_ids)
 
 
 def serialize(g: Digraph) -> str:
@@ -228,21 +209,13 @@ def serialize(g: Digraph) -> str:
 
 def twin_arc_ids(g: Digraph) -> list[int]:
     """Map each arc id to the id of its antiparallel twin, or -1."""
-    twin = [-1] * g.m
-    for a in g.arcs:
-        rev = g._arc_ids.get((a.target, a.source))
-        if rev is not None:
-            twin[a.arc_id] = rev
-    return twin
+    return list(g._twin)
 
 
 def twin_pairs(g: Digraph) -> frozenset[TwinPair]:
     """All antiparallel arc pairs of g; each arc occurs in at most one pair."""
-    twin = twin_arc_ids(g)
     return frozenset(
-        TwinPair(aid, twin[aid])
-        for aid in range(g.m)
-        if twin[aid] > aid)
+        TwinPair(aid, rev) for aid, rev in enumerate(g._twin) if rev > aid)
 
 
 def remove_arcs(g: Digraph, drop: Iterable[int]) -> Digraph:
@@ -251,13 +224,9 @@ def remove_arcs(g: Digraph, drop: Iterable[int]) -> Digraph:
     for aid in drop:
         if not (isinstance(aid, int) and 0 <= aid < g.m):
             raise GraphError(f"unknown arc id {aid!r}")
-    kept = [(a.source, a.target) for a in g.arcs if a.arc_id not in drop]
-    return Digraph(g.labels, kept)
-
-
-def underlying_graph(g: Digraph) -> UndirectedGraph:
-    """The undirected image of g: one edge per adjacent unordered pair."""
-    return UndirectedGraph(g.n, ((a.source, a.target) for a in g.arcs))
+    kept = [uv for uv, aid in g._arc_ids.items() if aid not in drop]
+    return Digraph._from_store(g.labels, g._label_ids,
+                               dict(zip(kept, range(len(kept)))))
 
 
 def induced_subgraph(g: Digraph, keep: Iterable[int]) -> Digraph:
@@ -274,7 +243,8 @@ def induced_subgraph(g: Digraph, keep: Iterable[int]) -> Digraph:
         return g
     order = sorted(keep)
     new_id = {v: i for i, v in enumerate(order)}
-    pairs = [(new_id[a.source], new_id[a.target])
-             for a in g.arcs
-             if a.source in keep and a.target in keep]
-    return Digraph(tuple(g.labels[v] for v in order), pairs)
+    kept = [(new_id[u], new_id[v]) for u, v in g._arc_ids
+            if u in new_id and v in new_id]
+    labels = tuple(g.labels[v] for v in order)
+    return Digraph._from_store(labels, dict(zip(labels, range(len(order)))),
+                               dict(zip(kept, range(len(kept)))))

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
 
-from .core import Digraph, GraphError, PreconditionError, twin_arc_ids
+from .core import Digraph, GraphError, PreconditionError
 
 Pairs = Sequence[Sequence[tuple[int, int]]]
 
@@ -307,7 +307,7 @@ def bridge_report(g: Digraph, threads: int = 1) -> BridgeReport:
     # memory peak of a bridge report
     strong_ids = _strong_bridge_ids(
         g, "input is not twinless strongly connected")
-    two_cut = _unpaired_two_cut_arcs(g, twin_arc_ids(g))
+    two_cut = _unpaired_two_cut_arcs(g, g._twin)
     strong = frozenset(strong_ids)
     twinless = strong.union(two_cut)
     return BridgeReport(strong, twinless)

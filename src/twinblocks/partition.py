@@ -11,7 +11,7 @@ from .core import GraphError
 
 
 class Partition:
-    __slots__ = ("n", "class_of", "_classes")
+    __slots__ = ("n", "class_of", "num_classes", "_classes")
 
     def __init__(self, class_of: Sequence[Hashable]):
         norm: dict[Hashable, int] = {}
@@ -22,6 +22,7 @@ class Partition:
             canon.append(norm[c])
         self.n = len(canon)
         self.class_of = tuple(canon)
+        self.num_classes = len(norm)
         self._classes: tuple[tuple[int, ...], ...] | None = None
 
     @classmethod
@@ -49,10 +50,6 @@ class Partition:
                 buckets[c].append(v)
             self._classes = tuple(tuple(b) for b in buckets)
         return self._classes
-
-    @property
-    def num_classes(self) -> int:
-        return max(self.class_of) + 1 if self.class_of else 0
 
     def same_class(self, u: int, v: int) -> bool:
         return self.class_of[u] == self.class_of[v]

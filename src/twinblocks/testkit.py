@@ -1,4 +1,4 @@
-"""Brute-force oracles and seeded random graph generation.
+"""Brute-force oracles, undirected references and seeded graph generation.
 
 The oracles encode the defining property of twinless strong connectivity
 directly: two vertices are twinless-related iff keeping every unpaired arc
@@ -7,11 +7,15 @@ reachable.  That enumeration (2^p orientations for p pairs) is finite and
 independent of the production algorithms, so it anchors every correctness
 claim in the test suite.  Budgets keep the enumeration in the seconds
 range; callers asking for more get a BudgetError instead of a stall.
+
+``UndirectedGraph`` and its components and bridges are the undirected
+references for the kernels, which walk the digraph's own arcs.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Iterable
 
 from .core import (BudgetError, Digraph, GraphError, PreconditionError,
                    remove_arcs, twin_pairs)
@@ -135,6 +139,110 @@ def oracle_two_edge_twinless_blocks(g: Digraph) -> BlockSet:
     for aid in range(g.m):
         part = partition_meet(part, oracle_tscc(remove_arcs(g, {aid})))
     return BlockSet.from_partition(part)
+
+
+class UndirectedGraph:
+    """Multiplicity-collapsed undirected graph: at most one edge per pair.
+
+    Edges are stored as (a, b) tuples with a < b.  Adjacency lists are
+    sorted, so traversal orders are deterministic.
+    """
+
+    __slots__ = ("n", "edges", "adjacency")
+
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
+        norm = set()
+        for a, b in edges:
+            if not (0 <= a < n and 0 <= b < n):
+                raise GraphError(f"edge ({a},{b}) references unknown vertex")
+            if a == b:
+                raise GraphError(f"self-edge at vertex {a}")
+            norm.add((a, b) if a < b else (b, a))
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for a, b in norm:
+            adj[a].append(b)
+            adj[b].append(a)
+        self.n = n
+        self.edges = frozenset(norm)
+        self.adjacency = tuple(tuple(sorted(x)) for x in adj)
+
+    @property
+    def edge_count(self) -> int:
+        return len(self.edges)
+
+    def __repr__(self) -> str:
+        return f"UndirectedGraph(n={self.n}, edges={len(self.edges)})"
+
+
+def underlying_graph(g: Digraph) -> UndirectedGraph:
+    """The undirected image of g: one edge per adjacent unordered pair."""
+    return UndirectedGraph(g.n, ((a.source, a.target) for a in g.arcs))
+
+
+def connected_components(u: UndirectedGraph) -> Partition:
+    class_of = [-1] * u.n
+    comp = 0
+    for root in range(u.n):
+        if class_of[root] != -1:
+            continue
+        class_of[root] = comp
+        frontier = [root]
+        while frontier:
+            x = frontier.pop()
+            for y in u.adjacency[x]:
+                if class_of[y] == -1:
+                    class_of[y] = comp
+                    frontier.append(y)
+        comp += 1
+    return Partition(class_of)
+
+
+def bridges_undirected(u: UndirectedGraph) -> set[tuple[int, int]]:
+    """Edges whose removal increases the component count (DFS low-link).
+
+    The graph is simple, so skipping the parent vertex once per child is a
+    sound substitute for skipping the traversal edge.
+    """
+    n = u.n
+    adj = u.adjacency
+    disc = [-1] * n
+    low = [0] * n
+    parent = [-1] * n
+    bridges: set[tuple[int, int]] = set()
+    timer = 0
+    for root in range(n):
+        if disc[root] != -1:
+            continue
+        disc[root] = low[root] = timer
+        timer += 1
+        stack: list[tuple[int, int]] = [(root, 0)]
+        while stack:
+            v, i = stack[-1]
+            if i < len(adj[v]):
+                stack[-1] = (v, i + 1)
+                w = adj[v][i]
+                if disc[w] == -1:
+                    parent[w] = v
+                    disc[w] = low[w] = timer
+                    timer += 1
+                    stack.append((w, 0))
+                elif w != parent[v] and disc[w] < low[v]:
+                    low[v] = disc[w]
+            else:
+                stack.pop()
+                if stack:
+                    p = stack[-1][0]
+                    if low[v] < low[p]:
+                        low[p] = low[v]
+                    if low[v] > disc[p]:
+                        bridges.add((p, v) if p < v else (v, p))
+    return bridges
+
+
+def two_edge_connected_components(u: UndirectedGraph) -> Partition:
+    """Connected components after deleting all bridges."""
+    return connected_components(
+        UndirectedGraph(u.n, u.edges - bridges_undirected(u)))
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,8 @@ validated against.
 """
 from __future__ import annotations
 
+import random
+
 from twinblocks import (Digraph, GeneratorConfig, Partition, is_strongly_connected,
                         is_twinless_strongly_connected, random_digraph,
                         remove_arcs, twin_pairs)
@@ -61,6 +63,15 @@ def closure_scc_partition(g: Digraph) -> Partition:
             first[key] = len(first)
         class_of.append(first[key])
     return Partition(class_of)
+
+
+def shuffled(g: Digraph, seed: int) -> Digraph:
+    """g with its arc ids permuted.  ``random_digraph`` lists the arcs of a
+    strongly connected shape's Hamiltonian cycle first, and a DFS in arc-id
+    order walks them as one unbranched path; shuffled ids branch the tree."""
+    arcs = [(a.source, a.target) for a in g.arcs]
+    random.Random(seed).shuffle(arcs)
+    return Digraph(g.labels, arcs)
 
 
 def tsc_instances(count: int, n_range=(3, 8), m_range=(3, 18),

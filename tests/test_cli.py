@@ -118,6 +118,18 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+def test_duplicate_arc_and_self_loop_name_their_line(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    for text, message in (
+            ("1 2\n2 3\n1 2\n", "line 3: duplicate arc '1' -> '2'"),
+            ("1 2\n\n3 3\n", "line 3: self-loop at '3'")):
+        bad.write_text(text, encoding="utf-8")
+        assert run(["2etb", "--input", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
 def _run_stdin(data: bytes, *argv: str):
     return subprocess.run([sys.executable, "-m", "twinblocks", *argv],
                           input=data, capture_output=True, timeout=60)

@@ -13,7 +13,7 @@ from twinblocks.partition import Partition
 from twinblocks.fixtures import C3, G_DEMO19, P2
 
 from helpers import (any_instances, closure_scc_partition, label_classes,
-                     tsc_instances)
+                     shuffled, tsc_instances)
 
 
 def demo_minus_38():
@@ -180,6 +180,18 @@ def test_skip_arc_kernel_matches_oracle(shape):
                 oracle_tscc(remove_arcs(g, {a.arc_id}))
             twin_skips += twin[a.arc_id] != -1
     assert twin_skips > 0
+
+
+@pytest.mark.parametrize("shape", ["any", "strongly-connected",
+                                   "twinless-strongly-connected"])
+def test_skip_arc_kernel_matches_oracle_with_shuffled_arc_ids(shape):
+    for seed in range(60):
+        g = shuffled(random_digraph(GeneratorConfig(
+            n_range=(3, 7), m_range=(3, 14), twin_density=(seed % 5) * 0.2,
+            seed=seed, shape=shape)), seed)
+        for a in g.arcs:
+            assert Partition(_tscc_class_of(g, a.arc_id)) == \
+                oracle_tscc(remove_arcs(g, {a.arc_id}))
 
 
 def test_is_twinless_strongly_connected():

@@ -1,10 +1,15 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from twinblocks import (Digraph, GeneratorConfig, GraphError, ParseError,
                         induced_subgraph, parse_edge_list, random_digraph,
-                        remove_arcs, serialize, twin_pairs, underlying_graph)
+                        remove_arcs, serialize, twin_arc_ids, twin_pairs,
+                        underlying_graph)
 from twinblocks.fixtures import C3, DEMO19_EDGE_TEXT, G_DEMO19, K3B, P2
+
+from helpers import shuffled
 
 
 def test_parse_c3():
@@ -158,3 +163,41 @@ def test_twin_pair_and_underlying_counts(seed):
     u = underlying_graph(g)
     assert u.edge_count == g.m - p
     assert u.edge_count <= g.m
+
+
+def _store(g: Digraph) -> tuple:
+    """Everything a graph derives from its arc store, plus both lookups."""
+    ids = {(a.source, a.target): a.arc_id for a in g.arcs}
+    twin = twin_arc_ids(g)
+    assert twin == [ids.get((t, s), -1) for s, t, _ in g.arcs]
+    return (g.n, g.m, g.labels, g.arcs, g.out_pairs, g.in_pairs, twin,
+            [g.vertex(lab) for lab in g.labels],
+            [g.arc_id(a.source, a.target) for a in g.arcs])
+
+
+@pytest.mark.parametrize("shape", ["any", "strongly-connected",
+                                   "twinless-strongly-connected"])
+def test_unchecked_constructions_equal_checked_ones(shape):
+    # the parser, remove_arcs and induced_subgraph skip the per-arc checks
+    # of Digraph(labels, pairs); what they build must not differ from it
+    twins = 0
+    for seed in range(40):
+        g = shuffled(random_digraph(GeneratorConfig(
+            n_range=(3, 12), m_range=(3, 30), twin_density=(seed % 5) * 0.2,
+            seed=seed, shape=shape)), seed)
+        twins += len(twin_pairs(g))
+        text = serialize(g)
+        lines = [line.split() for line in text.splitlines()]
+        assert _store(parse_edge_list(text)) == \
+            _store(Digraph.from_label_pairs(lines))
+        rng = random.Random(seed)
+        drop = set(rng.sample(range(g.m), rng.randint(0, min(4, g.m))))
+        assert _store(remove_arcs(g, drop)) == _store(Digraph(g.labels, [
+            (a.source, a.target) for a in g.arcs if a.arc_id not in drop]))
+        keep = sorted(rng.sample(range(g.n), rng.randint(1, g.n - 1)))
+        new_id = {v: i for i, v in enumerate(keep)}
+        assert _store(induced_subgraph(g, keep)) == _store(Digraph(
+            [g.labels[v] for v in keep],
+            [(new_id[a.source], new_id[a.target]) for a in g.arcs
+             if a.source in new_id and a.target in new_id]))
+    assert twins > 0

@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import twinblocks
 from twinblocks import (BudgetError, Digraph, GeneratorConfig, GraphError,
                         PreconditionError, is_strongly_connected,
                         is_twinless_strongly_connected, oracle_tscc,
@@ -143,3 +147,28 @@ def test_generator_produces_simple_digraphs(seed):
         assert a.source != a.target
         assert (a.source, a.target) not in seen
         seen.add((a.source, a.target))
+
+
+REFERENCES = {"testkit", "UndirectedGraph", "underlying_graph",
+              "connected_components", "bridges_undirected",
+              "two_edge_connected_components"}
+
+
+@pytest.mark.parametrize("module", ["core", "partition", "connectivity",
+                                    "cuts", "blocks"])
+def test_pipeline_modules_leave_the_references_to_testkit(module):
+    source = Path(twinblocks.__file__).with_name(f"{module}.py")
+    names = set()
+    for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(p for a in node.names for p in a.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+            names.update(a.name for a in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert not names & REFERENCES
