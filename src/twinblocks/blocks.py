@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 from .core import (Digraph, GraphError, BudgetError, PreconditionError,
                    induced_subgraph, remove_arcs)
@@ -160,26 +159,22 @@ class BlockSet:
         return f"BlockSet({sorted(sorted(b) for b in self.blocks)})"
 
 
-def _meet_per_bridge(g: Digraph, class_of: Sequence[int],
-                     bridges: Iterable[int], kernel) -> Sequence[int]:
-    """Meet ``class_of`` with the raw classes ``kernel(g, e)`` for each
-    bridge e in id order, stopping once every class is a singleton (no
-    further meet can split one); class ids are first-occurrence numbers."""
-    count = len(set(class_of))
+def _meet_per_bridge(g: Digraph, part: Partition, bridges: frozenset[int],
+                     kernel) -> Partition:
+    """Meet ``part`` with ``Partition(kernel(g, e))`` for each bridge e in id
+    order; stop at all singletons, which no further meet can split."""
     for e in sorted(bridges):
-        if count == g.n:
+        if part.num_classes == g.n:
             break
-        ids: dict[tuple[int, int], int] = {}
-        class_of = [ids.setdefault(key, len(ids))
-                    for key in zip(class_of, kernel(g, e))]
-        count = len(ids)
-    return class_of
+        part = partition_meet(part, Partition(kernel(g, e)))
+    return part
 
 
 def _two_edge_block_partition(g: Digraph,
                               bridges: frozenset[int]) -> Partition:
     """2-edge blocks as a partition, non-block vertices as singletons."""
-    return Partition(_meet_per_bridge(g, [0] * g.n, bridges, _scc_class_of))
+    return _meet_per_bridge(g, Partition.single_class(g.n), bridges,
+                            _scc_class_of)
 
 
 def two_edge_blocks(g: Digraph, threads: int = 1) -> BlockSet:
@@ -230,13 +225,13 @@ def tetb_alg2_refine(g: Digraph, mode: str = "safe",
         raise ValueError(f"unknown mode {mode!r}")
     rep = bridge_report(g)
     if mode == "faithful":
-        start = _two_edge_block_partition(g, rep.strong_bridges).class_of
+        part = _two_edge_block_partition(g, rep.strong_bridges)
         refine = rep.twinless_bridges - rep.strong_bridges
     else:
-        start = [0] * g.n
+        part = Partition.single_class(g.n)
         refine = rep.twinless_bridges
     return BlockSet.from_partition(
-        Partition(_meet_per_bridge(g, start, refine, _tscc_class_of)))
+        _meet_per_bridge(g, part, refine, _tscc_class_of))
 
 
 def two_edge_twinless_blocks(g: Digraph, algorithm: str = "alg2-safe",

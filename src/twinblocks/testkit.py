@@ -8,8 +8,7 @@ independent of the production algorithms, so it anchors every correctness
 claim in the test suite.  Budgets keep the enumeration in the seconds
 range; callers asking for more get a BudgetError instead of a stall.
 
-``UndirectedGraph`` and its components and bridges are the undirected
-references for the kernels, which walk the digraph's own arcs.
+``UndirectedGraph`` and its helpers are the references the kernel tests use.
 """
 from __future__ import annotations
 
@@ -241,8 +240,23 @@ def bridges_undirected(u: UndirectedGraph) -> set[tuple[int, int]]:
 
 def two_edge_connected_components(u: UndirectedGraph) -> Partition:
     """Connected components after deleting all bridges."""
-    return connected_components(
-        UndirectedGraph(u.n, u.edges - bridges_undirected(u)))
+    cut = bridges_undirected(u)
+    class_of = [-1] * u.n
+    comp = 0
+    for root in range(u.n):
+        if class_of[root] != -1:
+            continue
+        class_of[root] = comp
+        frontier = [root]
+        while frontier:
+            x = frontier.pop()
+            for y in u.adjacency[x]:
+                key = (x, y) if x < y else (y, x)
+                if class_of[y] == -1 and key not in cut:
+                    class_of[y] = comp
+                    frontier.append(y)
+        comp += 1
+    return Partition(class_of)
 
 
 @dataclass(frozen=True)

@@ -134,44 +134,33 @@ def _reached_from_root(succ, removed: int) -> set[int]:
     return seen
 
 
-def _dominator_test_graphs() -> list[Digraph]:
+def test_dominators_match_bruteforce_in_both_directions():
     graphs = [g for shape in ("any", "strongly-connected")
               for g in _seeded_graphs(shape, 80)]
     graphs += [random_digraph(GeneratorConfig(
         n_range=(8, 20), m_range=(10, 45), twin_density=0.2, seed=seed,
         shape="any")) for seed in range(40)]
     graphs += [G_DEMO19, G_GADGET, path_fan(15), blob_chain(3, 3)]
-    return graphs
-
-
-def _assert_dominators_match_bruteforce(g: Digraph) -> None:
-    for succ, pred in ((g.out_pairs, g.in_pairs), (g.in_pairs, g.out_pairs)):
-        order, idom = _immediate_dominators(g.n, succ, pred)
-        reach = _reached_from_root(succ, -1)
-        assert sorted(order) == sorted(reach) and order[0] == 0
-        for w in range(g.n):
-            if w not in reach or w == 0:
-                assert idom[w] == -1
-                continue
-            # v strictly dominates w iff w is unreachable in G - v
-            dominators = {v for v in reach if v != w
-                          and w not in _reached_from_root(succ, v)}
-            chain = set()
-            d = idom[w]
-            while d != -1:
-                chain.add(d)
-                d = idom[d]
-            assert chain == dominators
-
-
-def test_dominators_match_bruteforce_in_both_directions():
-    for g in _dominator_test_graphs():
-        _assert_dominators_match_bruteforce(g)
-
-
-def test_dominators_match_bruteforce_with_shuffled_arc_ids():
-    for seed, g in enumerate(_dominator_test_graphs()):
-        _assert_dominators_match_bruteforce(shuffled(g, seed))
+    graphs += [shuffled(g, seed) for seed, g in enumerate(graphs)]
+    for g in graphs:
+        for succ, pred in ((g.out_pairs, g.in_pairs),
+                           (g.in_pairs, g.out_pairs)):
+            order, idom = _immediate_dominators(g.n, succ, pred)
+            reach = _reached_from_root(succ, -1)
+            assert sorted(order) == sorted(reach) and order[0] == 0
+            for w in range(g.n):
+                if w not in reach or w == 0:
+                    assert idom[w] == -1
+                    continue
+                # v strictly dominates w iff w is unreachable in G - v
+                dominators = {v for v in reach if v != w
+                              and w not in _reached_from_root(succ, v)}
+                chain = set()
+                d = idom[w]
+                while d != -1:
+                    chain.add(d)
+                    d = idom[d]
+                assert chain == dominators
 
 
 def test_strong_bridges_match_recheck_on_strongly_connected_graphs():
