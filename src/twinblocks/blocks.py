@@ -7,6 +7,19 @@ splits them into different twinless strongly connected components.  Both
 notions are computed by meeting per-removal partitions; only bridges can
 split anything, so only bridges are iterated.
 
+The per-bridge partitions come from one stream that runs no Tarjan pass
+over the whole graph.  ``cuts`` hands out, from the dominator trees its
+bridge search builds, the set X_e each strong bridge e cuts off from the
+SCC of vertex 0; a Tarjan pass over G[X_e] - e gives the rest of the SCC
+split of G - e, and a twinless bridge that is not strong leaves G - e
+strongly connected.  The 2-edge blocks meet these splits directly.  The
+twinless variant runs one undirected low-link pass per split, over a
+neighbour list built once per graph, and skips a strong bridge whose split
+repeats an earlier one.  Full undirected passes therefore number b_t
+minus the repeated splits, plus O(sum of |G[X_e]|) local work; that sum
+is quadratic on a directed cycle, which costs ``alg1`` (no all-singleton
+stop) O(n^2) there.
+
 Two algorithms are provided for the twinless variant.  The matrix
 transcription (``tetb_alg1_matrix``) marks separated pairs in an n-by-n
 boolean table and reads blocks off as components of the never-separated
@@ -26,9 +39,12 @@ from dataclasses import dataclass
 from .core import (Digraph, GraphError, BudgetError, PreconditionError,
                    induced_subgraph, remove_arcs)
 from .partition import Partition, partition_meet
-from .connectivity import (_scc_class_of, _tscc_class_of,
+from .connectivity import (_low_link_class_of, _neighbours, _split_class_of,
                            twinless_strongly_connected_components)
-from .cuts import bridge_report, strong_bridges
+# the whole-graph passes, which the per-bridge stream never calls; tests
+# that count passes patch them here
+from .connectivity import _scc_class_of, _tscc_class_of  # noqa: F401
+from .cuts import _bridge_report, _Separations, _separations
 
 MATRIX_VERTEX_BUDGET = 20_000
 SUBSET_BUDGET = 10 ** 6
@@ -159,32 +175,83 @@ class BlockSet:
         return f"BlockSet({sorted(sorted(b) for b in self.blocks)})"
 
 
-def _meet_per_bridge(g: Digraph, part: Partition, bridges: frozenset[int],
-                     kernel) -> Partition:
-    """Meet ``part`` with ``Partition(kernel(g, e))`` for each bridge e in id
-    order; stop at all singletons, which no further meet can split."""
+def _scc_splits(g: Digraph, seps: _Separations, bridges):
+    """``(e, SCC classes of g - e)`` for the arcs e of ``bridges`` in id
+    order, with no whole-graph pass, skipping a strong bridge whose split
+    was already yielded.
+
+    For a strong bridge the classes are 0 on V - X_e and the SCCs of
+    G[X_e] - e from 1 on; for any other arc they are all 0, since g - e
+    stays strongly connected.  The skip is exact for the SCC and the TSCC
+    meets alike: the ends of a strong bridge lie in different SCCs of
+    g - e, so TSCC(g - e) depends on SCC(g - e) alone, and a meet is
+    idempotent.  A split that cuts off one vertex x is recorded as a flag
+    on x; a larger one by its canonical form, X_e ascending and then its
+    classes numbered by first occurrence.  Both go with the generator.
+    """
+    zero = [0] * g.n
+    alone = bytearray(g.n)
+    seen: set[tuple[int, ...]] = set()
     for e in sorted(bridges):
-        if part.num_classes == g.n:
-            break
-        part = partition_meet(part, Partition(kernel(g, e)))
+        cut = seps.cut_off(e)
+        if not cut:
+            yield e, zero
+            continue
+        scc_of = _split_class_of(g, cut, e)
+        if len(cut) == 1:
+            if alone[cut[0]]:
+                continue
+            alone[cut[0]] = 1
+        else:
+            norm: dict[int, int] = {}
+            key = (*cut, *[norm.setdefault(scc_of[x], len(norm))
+                           for x in cut])
+            if key in seen:
+                continue
+            seen.add(key)
+        yield e, scc_of
+
+
+def _tscc_stream(g: Digraph, seps: _Separations, bridges):
+    """TSCC classes of g minus each bridge, as in ``_scc_splits``: one
+    low-link kernel pass per yielded split over a neighbour list built once
+    here, and no Tarjan pass over the whole graph."""
+    if not bridges:
+        return  # no neighbour list for a graph without bridges
+    nbrs = _neighbours(g)
+    for e, scc_of in _scc_splits(g, seps, bridges):
+        yield _low_link_class_of(nbrs, scc_of, e)
+
+
+def _meet(g: Digraph, part: Partition, class_lists) -> Partition:
+    """Meet ``part`` with each class list in turn; stop at all singletons,
+    which no further meet can split, so the rest of the stream is never
+    computed."""
+    if part.num_classes < g.n:
+        for class_of in class_lists:
+            part = partition_meet(part, Partition(class_of))
+            if part.num_classes == g.n:
+                break
     return part
 
 
-def _two_edge_block_partition(g: Digraph,
-                              bridges: frozenset[int]) -> Partition:
-    """2-edge blocks as a partition, non-block vertices as singletons."""
-    return _meet_per_bridge(g, Partition.single_class(g.n), bridges,
-                            _scc_class_of)
+def _two_edge_block_partition(g: Digraph, seps: _Separations) -> Partition:
+    """2-edge blocks as a partition, non-block vertices as singletons: the
+    meet of the SCC splits of the strong bridges in ``seps``."""
+    splits = _scc_splits(g, seps, seps.strong_bridges())
+    return _meet(g, Partition.single_class(g.n),
+                 (scc_of for _e, scc_of in splits))
 
 
 def two_edge_blocks(g: Digraph, threads: int = 1) -> BlockSet:
     """2-edge blocks of a strongly connected graph.
 
     Only strong bridges are iterated: removing any other arc leaves the
-    graph strongly connected and cannot separate a pair.
+    graph strongly connected and cannot separate a pair.  Each split
+    costs O(n) list set-up plus a Tarjan pass over G[X_e] alone.
     """
     return BlockSet.from_partition(
-        _two_edge_block_partition(g, strong_bridges(g)))
+        _two_edge_block_partition(g, _separations(g)))
 
 
 def tetb_alg1_matrix(g: Digraph, threads: int = 1) -> BlockSet:
@@ -201,12 +268,13 @@ def tetb_alg1_matrix(g: Digraph, threads: int = 1) -> BlockSet:
         raise BudgetError(
             f"n={g.n} exceeds the n*n separation-matrix budget "
             f"({MATRIX_VERTEX_BUDGET}); use tetb_alg2_refine instead")
-    rep = bridge_report(g)
+    seps = _Separations(g)
+    rep = _bridge_report(g, seps)
     if not rep.twinless_bridges:
         return BlockSet.from_partition(Partition.single_class(g.n))
     matrix = SeparationMatrix(g.n)
-    for e in sorted(rep.twinless_bridges):
-        matrix.separate_across(Partition(_tscc_class_of(g, e)))
+    for class_of in _tscc_stream(g, seps, rep.twinless_bridges):
+        matrix.separate_across(Partition(class_of))
     return BlockSet(frozenset(matrix.never_separated_components()))
 
 
@@ -223,15 +291,16 @@ def tetb_alg2_refine(g: Digraph, mode: str = "safe",
     """
     if mode not in ("safe", "faithful"):
         raise ValueError(f"unknown mode {mode!r}")
-    rep = bridge_report(g)
+    seps = _Separations(g)
+    rep = _bridge_report(g, seps)
     if mode == "faithful":
-        part = _two_edge_block_partition(g, rep.strong_bridges)
+        part = _two_edge_block_partition(g, seps)
         refine = rep.twinless_bridges - rep.strong_bridges
     else:
         part = Partition.single_class(g.n)
         refine = rep.twinless_bridges
     return BlockSet.from_partition(
-        _meet_per_bridge(g, part, refine, _tscc_class_of))
+        _meet(g, part, _tscc_stream(g, seps, refine)))
 
 
 def two_edge_twinless_blocks(g: Digraph, algorithm: str = "alg2-safe",

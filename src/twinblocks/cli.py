@@ -21,7 +21,7 @@ from .core import Digraph, GraphError, ParseError, parse_edge_list, serialize
 from .partition import Partition
 from .connectivity import (strongly_connected_components,
                            twinless_strongly_connected_components)
-from .cuts import strong_bridges, twinless_bridges
+from .cuts import _separations, strong_bridges, twinless_bridges
 from .blocks import (BlockSet, _two_edge_block_partition,
                      k_edge_twinless_blocks_bruteforce,
                      two_edge_twinless_blocks)
@@ -222,8 +222,9 @@ def run(argv: list[str]) -> int:
             report.b_t = len(tb)
         elif args.command == "2-edge-blocks":
             report.algorithm = "bridge-refinement"
-            sb = strong_bridges(g)
-            bs = BlockSet.from_partition(_two_edge_block_partition(g, sb))
+            seps = _separations(g)
+            sb = seps.strong_bridges()
+            bs = BlockSet.from_partition(_two_edge_block_partition(g, seps))
             report.blocks = _block_lists(g, bs, args.min_size or 2,
                                          args.include_singletons)
             report.strong_bridges = _sorted_arcs(g, sb)

@@ -11,34 +11,36 @@ oracle is ground truth and the mismatch must be reported, not patched.
 
 Both stages traverse the digraph's own adjacency, optionally with one arc
 skipped: Tarjan's SCC pass, then one undirected low-link DFS that stays
-inside each SCC; no undirected graph is built.  Twin ids come from the
-graph, which derives them once; the undirected references are in testkit.
+inside each SCC; no undirected graph is built.  The DFS is one kernel,
+``_low_link_class_of(nbrs, scc_of, skip)``: it takes the SCC classes as
+input, so a caller that knows them already (the precondition of
+``condensation_tscc``, or the dominator-interval splits that ``blocks``
+reads for each strong bridge) runs no Tarjan pass for it, and it walks one
+combined neighbour list that a caller builds once per graph.  Twin ids come
+from the graph, which derives them once; the undirected references are in
+testkit.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 from .core import Digraph, PreconditionError, TwinPair
 from .partition import Partition
 
 
-def _scc_class_of(g: Digraph, skip: int = -1) -> list[int]:
-    """Tarjan's algorithm, iterative; O(n + m).
+def _tarjan(out, skip: int, index: list[int], class_of: list[int],
+            roots, comp: int) -> list[int]:
+    """Tarjan's algorithm, iterative, from each unvisited root in turn.
 
-    ``skip`` names an arc to traverse around, which computes the SCC
-    classes of g minus that arc without rebuilding the graph.
+    A vertex with ``index`` other than -1 counts as visited and off the
+    stack, so arcs into it are ignored; classes are numbered from ``comp``
+    into ``class_of``, which is returned.
     """
-    n = g.n
-    out = g.out_pairs
-    index = [-1] * n
-    low = [0] * n
-    on_stack = bytearray(n)
+    low = [0] * len(index)
+    on_stack = bytearray(len(index))
     stack: list[int] = []
-    class_of = [-1] * n
     counter = 0
-    comp = 0
-    for root in range(n):
+    for root in roots:
         if index[root] != -1:
             continue
         work: list[tuple[int, int]] = [(root, 0)]
@@ -81,6 +83,30 @@ def _scc_class_of(g: Digraph, skip: int = -1) -> list[int]:
     return class_of
 
 
+def _scc_class_of(g: Digraph, skip: int = -1) -> list[int]:
+    """SCC classes of g; O(n + m).
+
+    ``skip`` names an arc to traverse around, which computes the SCC
+    classes of g minus that arc without rebuilding the graph.
+    """
+    n = g.n
+    return _tarjan(g.out_pairs, skip, [-1] * n, [-1] * n, range(n), 0)
+
+
+def _split_class_of(g: Digraph, within: list[int], skip: int) -> list[int]:
+    """SCC classes of g minus ``skip`` when every vertex outside ``within``
+    lies in one SCC and no vertex of ``within`` joins it: class 0 outside,
+    the SCCs of G[within] minus ``skip`` numbered from 1 inside.  Tarjan
+    visits only ``within``, so the work is O(n) list set-up plus
+    O(|G[within]|).
+    """
+    n = g.n
+    index = [0] * n
+    for x in within:
+        index[x] = -1
+    return _tarjan(g.out_pairs, skip, index, [0] * n, within, 1)
+
+
 def strongly_connected_components(g: Digraph) -> Partition:
     """Maximal mutually-reachable vertex sets."""
     return Partition(_scc_class_of(g))
@@ -93,18 +119,29 @@ def is_strongly_connected(g: Digraph) -> bool:
     return not any(_scc_class_of(g))
 
 
-def _tscc_class_of(g: Digraph, skip: int = -1) -> list[int]:
-    """TSCC classes of g (minus the optional ``skip`` arc); O(n + m).
+def _neighbours(g: Digraph) -> list[list[tuple[int, int]]]:
+    """Per vertex, its out-arcs then its in-arcs as (neighbour, arc_id).
 
-    Undirected low-link DFS over in- and out-arcs inside each SCC.  The
-    underlying graph is simple, so skipping every arc to the DFS parent
-    skips exactly the tree edge, antiparallel pair included.  The edge
-    into v is a bridge iff low[v] == disc[v], which closes v's class.
+    Lists, not tuples: freed tuples shorter than 20 stay on the
+    interpreter's per-length free lists, which would keep most of this
+    list's memory after the last pass.
     """
-    scc_of = _scc_class_of(g, skip)
-    n = g.n
-    out = g.out_pairs
-    inc = g.in_pairs
+    return [[*o, *i] for o, i in zip(g.out_pairs, g.in_pairs)]
+
+
+def _low_link_class_of(nbrs, scc_of: list[int], skip: int = -1) -> list[int]:
+    """2-edge-connected classes of the underlying graph inside each class
+    of ``scc_of``, minus the ``skip`` arc; O(n + m).
+
+    The undirected low-link DFS walks ``nbrs`` (from ``_neighbours``, built
+    once per graph and reused by every pass) and ignores edges between
+    classes.  The underlying graph is simple, so skipping every arc to the
+    DFS parent skips exactly the tree edge, antiparallel pair included.
+    The edge into v is a bridge iff low[v] == disc[v], which closes v's
+    class.  With ``scc_of`` the SCC classes of g minus ``skip``, the result
+    is the TSCC classes of g minus ``skip``.
+    """
+    n = len(nbrs)
     disc = [-1] * n
     low = [0] * n
     class_of = [-1] * n
@@ -117,7 +154,7 @@ def _tscc_class_of(g: Digraph, skip: int = -1) -> list[int]:
         disc[root] = low[root] = timer
         timer += 1
         stack.append(root)
-        work = [(root, -1, chain(out[root], inc[root]))]
+        work = [(root, -1, iter(nbrs[root]))]
         while work:
             v, parent, arcs = work[-1]
             scc = scc_of[v]
@@ -128,7 +165,7 @@ def _tscc_class_of(g: Digraph, skip: int = -1) -> list[int]:
                     disc[w] = low[w] = timer
                     timer += 1
                     stack.append(w)
-                    work.append((w, v, chain(out[w], inc[w])))
+                    work.append((w, v, iter(nbrs[w])))
                     break
                 if disc[w] < low[v]:
                     low[v] = disc[w]
@@ -144,6 +181,13 @@ def _tscc_class_of(g: Digraph, skip: int = -1) -> list[int]:
                 elif low[v] < low[parent]:
                     low[parent] = low[v]
     return class_of
+
+
+def _tscc_class_of(g: Digraph, skip: int = -1) -> list[int]:
+    """TSCC classes of g (minus the optional ``skip`` arc); O(n + m): one
+    Tarjan pass, then the low-link kernel inside its SCCs."""
+    scc_of = _scc_class_of(g, skip)  # before the neighbour list is built
+    return _low_link_class_of(_neighbours(g), scc_of, skip)
 
 
 def twinless_strongly_connected_components(g: Digraph) -> Partition:
@@ -181,9 +225,12 @@ class CondensationTree:
 
 
 def condensation_tscc(g: Digraph) -> CondensationTree:
-    if not is_strongly_connected(g):
+    if g.n == 0:
+        raise PreconditionError("empty graph")
+    scc_of = _scc_class_of(g)  # one Tarjan pass: precondition and kernel
+    if any(scc_of):
         raise PreconditionError("input is not strongly connected")
-    p = twinless_strongly_connected_components(g)
+    p = Partition(_low_link_class_of(_neighbours(g), scc_of))
     twin = g._twin
     crossing: dict[tuple[int, int], list[TwinPair]] = {}
     for a in g.arcs:

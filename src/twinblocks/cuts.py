@@ -30,14 +30,19 @@ Twinless strong connectivity is strong connectivity plus a 2-edge-connected
 underlying graph, so the precondition costs the two dominator DFS and the
 bridge test that the 2-cut pass makes anyway.
 
+The same two dominator trees say what each strong bridge cuts off the SCC
+of vertex 0 (``_Separations``); ``blocks`` reads its per-bridge SCC splits
+from them instead of running Tarjan's algorithm once per bridge.
+
 Arc identity (arc_id), not the endpoint pair, names a bridge; that stays
 unambiguous under antiparallel pairs.
 ``threads`` is accepted for compatibility and ignored.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress, count
 from typing import Sequence
 
 from .core import Digraph, GraphError, PreconditionError
@@ -117,13 +122,16 @@ def _immediate_dominators(n: int, succ: Pairs,
     return order, idom
 
 
-def _flow_bridges(n: int, succ: Pairs, pred: Pairs) -> list[int] | None:
+def _flow_bridges(n: int, succ: Pairs, pred: Pairs,
+                  trees: list | None = None) -> list[int] | None:
     """Arc ids of the bridges of the flowgraph rooted at vertex 0, or None
     when 0 does not reach every vertex.
 
     Arc (u,v) is a bridge iff u = idom(v) and v dominates every other
     predecessor of v; dominance is an interval test on a preorder of the
-    dominator tree.
+    dominator tree.  When ``trees`` is a list it also receives that
+    preorder as ``(by_pre, pre, size)``, compact int arrays: w dominates
+    exactly ``by_pre[pre[w]:pre[w] + size[w]]``.
     """
     order, idom = _immediate_dominators(n, succ, pred)
     if len(order) < n:
@@ -142,6 +150,11 @@ def _flow_bridges(n: int, succ: Pairs, pred: Pairs) -> list[int] | None:
         pre[w] = nxt[u]
         nxt[u] += size[w]
         nxt[w] = pre[w] + 1
+    if trees is not None:
+        by_pre = array("i", bytes(4 * n))
+        for w in order:
+            by_pre[pre[w]] = w
+        trees.append((by_pre, array("i", pre), array("i", size)))
     out = []
     for w in order[1:]:
         u = idom[w]
@@ -159,17 +172,74 @@ def _flow_bridges(n: int, succ: Pairs, pred: Pairs) -> list[int] | None:
     return out
 
 
-def _strong_bridge_ids(g: Digraph, message: str) -> list[int]:
+class _Separations:
+    """What each strong bridge cuts off, read from the two dominator trees.
+
+    For a strong bridge e = (u,v) of a strongly connected graph G, let X_e
+    be D(v) if e is a bridge of G_0, united with D^R(u) if e is a bridge of
+    G_0^R (D and D^R are the dominator trees of G_0 and its reverse).  In
+    G minus e, X_e is exactly the set of vertices that vertex 0 no longer
+    reaches or that no longer reach 0, so
+    SCC(G - e) = {V - X_e} + SCC(G[X_e] - e).  Each part of X_e is a
+    dominator subtree, kept as an interval of the preorder that
+    ``_flow_bridges`` builds anyway (Italiano, Laura and Santaroni, TCS
+    2012; Georgiadis, Italiano, Laura and Parotsidis, "2-Edge Connectivity
+    in Directed Graphs", SODA 2015).
+    """
+
+    __slots__ = ("arcs", "side", "trees")
+
+    def __init__(self, g: Digraph) -> None:
+        self.arcs = g.arcs
+        self.side = bytearray(g.m)  # 1: bridge of G_0, 2: of G_0^R, 3: both
+        self.trees: list = []  # (by_pre, pre, size) of D, then of D^R
+
+    def strong_bridges(self) -> frozenset[int]:
+        return frozenset(compress(count(), self.side))
+
+    def cut_off(self, e: int) -> list[int]:
+        """X_e in ascending order; empty when e is not a strong bridge."""
+        side = self.side[e]
+        if not side:
+            return []
+        u, v, _ = self.arcs[e]
+        parts = []
+        for bit, w, (by_pre, pre, size) in zip((1, 2), (v, u), self.trees):
+            if side & bit:
+                parts.append(by_pre[pre[w]:pre[w] + size[w]])
+        if len(parts) == 2:
+            return sorted(set(parts[0]).union(parts[1]))
+        return sorted(parts[0])
+
+
+def _strong_bridge_ids(g: Digraph, message: str,
+                       seps: _Separations | None = None) -> list[int]:
     """Bridges of G_0 followed by those of G_0^R (an arc may be in both);
-    raises PreconditionError(message) when g is not strongly connected."""
+    raises PreconditionError(message) when g is not strongly connected.
+    ``seps``, when given, receives both dominator trees and the side on
+    which each strong bridge lies."""
     if g.n == 0:
         raise PreconditionError("empty graph")
-    fwd = _flow_bridges(g.n, g.out_pairs, g.in_pairs)
-    rev = None if fwd is None else _flow_bridges(g.n, g.in_pairs, g.out_pairs)
+    trees = None if seps is None else seps.trees
+    fwd = _flow_bridges(g.n, g.out_pairs, g.in_pairs, trees)
+    rev = None if fwd is None else _flow_bridges(
+        g.n, g.in_pairs, g.out_pairs, trees)
     if rev is None:
         raise PreconditionError(message)
+    if seps is not None:
+        for aid in fwd:
+            seps.side[aid] |= 1
+        for aid in rev:
+            seps.side[aid] |= 2
     fwd.extend(rev)
     return fwd
+
+
+def _separations(g: Digraph) -> _Separations:
+    """The strong bridges of a strongly connected g with their X_e."""
+    seps = _Separations(g)
+    _strong_bridge_ids(g, "input is not strongly connected", seps)
+    return seps
 
 
 def strong_bridges(g: Digraph, threads: int = 1) -> frozenset[int]:
@@ -296,6 +366,20 @@ class BridgeReport:
         return len(self.twinless_bridges)
 
 
+def _bridge_report(g: Digraph,
+                   seps: _Separations | None = None) -> BridgeReport:
+    """``bridge_report(g)``; ``seps``, when given, also receives the X_e of
+    each strong bridge from the same two dominator trees."""
+    # kept as a list, not a set, through the 2-cut pass: that pass is the
+    # memory peak of a bridge report
+    strong_ids = _strong_bridge_ids(
+        g, "input is not twinless strongly connected", seps)
+    two_cut = _unpaired_two_cut_arcs(g, g._twin)
+    strong = frozenset(strong_ids)
+    twinless = strong.union(two_cut)
+    return BridgeReport(strong, twinless)
+
+
 def bridge_report(g: Digraph, threads: int = 1) -> BridgeReport:
     """Both bridge sets (twinless strongly connected inputs only).
 
@@ -303,14 +387,7 @@ def bridge_report(g: Digraph, threads: int = 1) -> BridgeReport:
     DFS plus the cover counts of the 2-cut pass, which raises on an
     underlying bridge.
     """
-    # kept as a list, not a set, through the 2-cut pass: that pass is the
-    # memory peak of a bridge report
-    strong_ids = _strong_bridge_ids(
-        g, "input is not twinless strongly connected")
-    two_cut = _unpaired_two_cut_arcs(g, g._twin)
-    strong = frozenset(strong_ids)
-    twinless = strong.union(two_cut)
-    return BridgeReport(strong, twinless)
+    return _bridge_report(g)
 
 
 def twinless_bridges(g: Digraph, threads: int = 1) -> frozenset[int]:

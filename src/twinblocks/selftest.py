@@ -7,11 +7,12 @@ check.  Exits nonzero iff anything fails.
 from __future__ import annotations
 
 from .core import parse_edge_list, remove_arcs, twin_pairs
-from .connectivity import (is_twinless_strongly_connected,
+from .partition import Partition, partition_meet
+from .connectivity import (_tscc_class_of, is_twinless_strongly_connected,
                            twinless_strongly_connected_components)
 from .cuts import strong_bridges, twinless_bridges
-from .blocks import (k_edge_twinless_blocks_bruteforce, tetb_alg1_matrix,
-                     tetb_alg2_refine, two_edge_blocks,
+from .blocks import (BlockSet, k_edge_twinless_blocks_bruteforce,
+                     tetb_alg1_matrix, tetb_alg2_refine, two_edge_blocks,
                      two_edge_twinless_blocks)
 from .testkit import (GeneratorConfig, oracle_tscc,
                       oracle_two_edge_twinless_blocks, random_digraph)
@@ -77,7 +78,7 @@ def run_selftest(out=print) -> int:
     check("gadget: faithful mode wrongly keeps x and y together",
           any({"x", "y"} <= b for b in faithful))
 
-    bad = 0
+    bad = off_reference = 0
     for seed in range(RANDOM_ROUNDS):
         cfg = GeneratorConfig(n_range=(3, 7), m_range=(3, 14),
                               twin_density=0.3, seed=seed,
@@ -95,8 +96,18 @@ def run_selftest(out=print) -> int:
               and bridges == recheck and len(bridges) <= 2 * h.n - 2)
         if not ok:
             bad += 1
+        # reference: one full TSCC pass per twinless bridge, met in turn
+        part = Partition.single_class(h.n)
+        for e in bridges:
+            part = partition_meet(part, Partition(_tscc_class_of(h, e)))
+        reference = BlockSet.from_partition(part)
+        if not tetb_alg1_matrix(h) == tetb_alg2_refine(h, "safe") == reference:
+            off_reference += 1
     check(f"{RANDOM_ROUNDS} seeded random instances agree with the oracles",
           bad == 0, f"{bad} mismatching seeds")
+    check(f"{RANDOM_ROUNDS} seeded random instances: alg1 and alg2-safe "
+          "equal the meet of full per-bridge TSCC passes",
+          off_reference == 0, f"{off_reference} mismatching seeds")
 
     out(f"selftest: {'PASS' if failures == 0 else 'FAIL'} "
         f"({failures} failing check(s))")

@@ -1,19 +1,35 @@
 import pytest
 
-from twinblocks import (BlockSet, BudgetError, Digraph, GraphError,
-                        Partition, PreconditionError, SeparationMatrix,
-                        bridge_report, partition_meet,
-                        k_edge_twinless_blocks_bruteforce, oracle_tscc,
-                        oracle_two_edge_twinless_blocks, remove_arcs,
-                        strong_bridges, strongly_connected_components,
-                        tetb_alg1_matrix, tetb_alg2_refine, twinless_bridges,
+from twinblocks import (BlockSet, BudgetError, Digraph, GeneratorConfig,
+                        GraphError, Partition, PreconditionError,
+                        SeparationMatrix, UndirectedGraph, bridge_report,
+                        connected_components, induced_subgraph,
+                        partition_meet, k_edge_twinless_blocks_bruteforce,
+                        oracle_tscc, oracle_two_edge_twinless_blocks,
+                        random_digraph, remove_arcs, strong_bridges,
+                        strongly_connected_components, tetb_alg1_matrix,
+                        tetb_alg2_refine, twinless_bridges,
                         twinless_strongly_connected_components,
-                        two_edge_blocks, two_edge_twinless_blocks)
+                        two_edge_blocks, two_edge_twinless_blocks,
+                        underlying_graph)
 from twinblocks import blocks as blocks_mod
+from twinblocks import connectivity as connectivity_mod
+from twinblocks.blocks import _scc_splits
+from twinblocks.connectivity import (_low_link_class_of, _neighbours,
+                                     _scc_class_of, _split_class_of,
+                                     _tscc_class_of)
+from twinblocks.cuts import _bridge_report, _Separations, _separations
 from twinblocks.fixtures import C3, G_DEMO19, G_GADGET, K3B, P2
 
 from helpers import (any_instances, blob_chain, cycle, label_blocks,
-                     path_fan, tsc_instances)
+                     labels_of_arcs, path_fan, shuffled, tsc_instances)
+
+# Four non-strong twinless bridges (e->i, h->e, a->d, f->b) in four 2-cut
+# classes of the underlying graph; b_s = 6, b_t = 10.
+UNION_RULE_COUNTEREXAMPLE = Digraph.from_label_pairs(
+    tuple(pair.split()) for pair in (
+        "d g; i g; e i; b a; b e; c g; e b; c h; g c; g f; g i; h c; h e; "
+        "f g; a d; g d; f b; a b").split(";"))
 
 
 def meet_over_all_arcs_scc(g) -> Partition:
@@ -162,6 +178,158 @@ def test_alg2_stops_once_all_singletons(g, monkeypatch):
     passes.clear()
     assert two_edge_blocks(g) == BlockSet(frozenset())
     assert len(passes) <= 1
+
+
+@pytest.mark.parametrize("g, b_s, b_t", [
+    (cycle(7), 7, 7), (path_fan(11), 11, 11),
+    (blob_chain(2, 4), 1, 2), (blob_chain(3, 3), 2, 4),
+], ids=["cycle", "path-fan", "blob-chain-2x4", "blob-chain-3x3"])
+def test_adversarial_shapes_match_oracle_with_shuffled_arc_ids(g, b_s, b_t):
+    for seed in range(2):
+        h = shuffled(g, seed)
+        rep = bridge_report(h)
+        assert (rep.b_s, rep.b_t) == (b_s, b_t)
+        expected = oracle_two_edge_twinless_blocks(h)
+        assert tetb_alg1_matrix(h) == expected
+        assert tetb_alg2_refine(h, "safe") == expected
+        assert tetb_alg2_refine(h, "faithful") == expected
+
+
+def test_union_rule_counterexample():
+    # Meeting TSCC(G - e) over the non-strong twinless bridges e is not
+    # the components of U after deleting every 2-cut class that holds one
+    # (U the underlying graph): that union rule isolates g.  Meeting
+    # components(U - C) over those classes C is exact.
+    g = UNION_RULE_COUNTEREXAMPLE
+    rep = bridge_report(g)
+    assert (rep.b_s, rep.b_t) == (6, 10)
+    non_strong = rep.twinless_bridges - rep.strong_bridges
+    assert labels_of_arcs(g, non_strong) == {
+        ("e", "i"), ("h", "e"), ("a", "d"), ("f", "b")}
+    expected = [["b", "e", "g"]]
+    assert tetb_alg1_matrix(g).as_label_lists(g) == expected
+    assert tetb_alg2_refine(g, "safe").as_label_lists(g) == expected
+    assert oracle_two_edge_twinless_blocks(g).as_label_lists(g) == expected
+
+    u = underlying_graph(g)
+
+    def components_without(edges):
+        return connected_components(UndirectedGraph(g.n, u.edges - edges))
+
+    def two_cut_class(e):
+        a = g.arcs[e]
+        edge = (min(a.source, a.target), max(a.source, a.target))
+        rest = u.edges - {edge}
+        return frozenset({edge} | {f for f in rest if connected_components(
+            UndirectedGraph(g.n, rest - {f})).num_classes > 1})
+
+    def meet(parts):
+        part = Partition.single_class(g.n)
+        for q in parts:
+            part = partition_meet(part, q)
+        return part
+
+    classes = {two_cut_class(e) for e in non_strong}
+    assert len(classes) == 4
+    strong_meet = meet(twinless_strongly_connected_components(
+        remove_arcs(g, {e})) for e in rep.strong_bridges)
+    per_bridge = meet(twinless_strongly_connected_components(
+        remove_arcs(g, {e})) for e in non_strong)
+    per_class = meet(components_without(c) for c in classes)
+    union = components_without(frozenset().union(*classes))
+    assert per_class == per_bridge
+    assert BlockSet.from_partition(partition_meet(strong_meet, per_class)) \
+        .as_label_lists(g) == expected
+    assert BlockSet.from_partition(partition_meet(strong_meet, union)) \
+        .as_label_lists(g) == [["b", "e"]]
+
+
+def _stream_graphs():
+    graphs = []
+    for shape in ("any", "strongly-connected",
+                  "twinless-strongly-connected"):
+        for seed in range(40):
+            g = random_digraph(GeneratorConfig(
+                n_range=(4, 16), m_range=(6, 40),
+                twin_density=(seed % 5) * 0.2, seed=seed, shape=shape))
+            graphs += [g, shuffled(g, seed)]
+    graphs += [cycle(9), path_fan(13), blob_chain(3, 3),
+               UNION_RULE_COUNTEREXAMPLE, G_DEMO19, G_GADGET]
+    graphs += [shuffled(g, 1) for g in graphs[-6:]]
+    return graphs
+
+
+def _components(g, partition):
+    return [induced_subgraph(g, c) for c in partition.classes if len(c) > 1]
+
+
+def test_dominator_interval_splits_equal_scc_passes():
+    checked = 0
+    for g in _stream_graphs():
+        for sub in _components(g, strongly_connected_components(g)):
+            seps = _separations(sub)
+            assert seps.strong_bridges() == strong_bridges(sub)
+            for e in seps.strong_bridges():
+                assert Partition(_split_class_of(sub, seps.cut_off(e), e)) \
+                    == Partition(_scc_class_of(sub, e))
+                checked += 1
+    assert checked > 500
+
+
+def test_localized_stream_equals_full_passes():
+    skipped = 0
+    for g in _stream_graphs():
+        for sub in _components(g, twinless_strongly_connected_components(g)):
+            seps = _Separations(sub)
+            rep = _bridge_report(sub, seps)
+            assert seps.strong_bridges() == rep.strong_bridges
+            nbrs = _neighbours(sub)
+            splits = {}
+            for e, scc_of in _scc_splits(sub, seps, rep.twinless_bridges):
+                splits[e] = Partition(scc_of)
+                assert splits[e] == Partition(_scc_class_of(sub, e))
+                assert _low_link_class_of(nbrs, scc_of, e) == \
+                    _tscc_class_of(sub, e)
+            assert rep.twinless_bridges - rep.strong_bridges <= splits.keys()
+            # a strong bridge is skipped iff a lower one has its SCC split,
+            # and then it has that one's TSCC split too
+            first = {}
+            for e in sorted(rep.strong_bridges):
+                split = Partition(_scc_class_of(sub, e))
+                assert (e in splits) == (split not in first)
+                if split in first:
+                    skipped += 1
+                    assert Partition(_tscc_class_of(sub, e)) == \
+                        Partition(_tscc_class_of(sub, first[split]))
+                first.setdefault(split, e)
+    assert skipped > 50
+
+
+@pytest.mark.parametrize("g", [cycle(9), path_fan(13)],
+                         ids=["cycle", "path-fan"])
+def test_stream_runs_at_most_one_kernel_pass(g, monkeypatch):
+    kernel, whole = [], []
+
+    def counted(fn, log):
+        def wrapper(*args):
+            log.append(args[-1])
+            return fn(*args)
+        return wrapper
+
+    expected = oracle_two_edge_twinless_blocks(g)
+    monkeypatch.setattr(blocks_mod, "_low_link_class_of",
+                        counted(_low_link_class_of, kernel))
+    monkeypatch.setattr(connectivity_mod, "_scc_class_of",
+                        counted(_scc_class_of, whole))
+    for mode in ("safe", "faithful"):
+        kernel.clear()
+        assert tetb_alg2_refine(g, mode) == expected
+        assert len(kernel) <= 1, mode
+    kernel.clear()
+    assert two_edge_blocks(g) == BlockSet(frozenset())
+    assert kernel == []
+    assert tetb_alg1_matrix(g) == expected
+    assert whole == []
 
 
 def test_pipeline_examples():

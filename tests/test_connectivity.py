@@ -8,9 +8,10 @@ from twinblocks import (Digraph, GeneratorConfig, PreconditionError,
                         strongly_connected_components, twin_arc_ids,
                         twinless_strongly_connected_components,
                         two_edge_connected_components, underlying_graph)
+from twinblocks import connectivity as connectivity_mod
 from twinblocks.connectivity import _scc_class_of, _tscc_class_of
 from twinblocks.partition import Partition
-from twinblocks.fixtures import C3, G_DEMO19, P2
+from twinblocks.fixtures import C3, G_DEMO19, G_GADGET, K3B, P2
 
 from helpers import (any_instances, closure_scc_partition, label_classes,
                      shuffled, tsc_instances)
@@ -235,3 +236,35 @@ def test_condensation_tree_property_on_random_graphs():
         assert ct.is_tree
         assert ct.every_edge_twin_crossed
         assert len(ct.edges) == len(ct.nodes) - 1
+
+
+def test_condensation_runs_tarjan_once(monkeypatch):
+    passes = []
+
+    def counted(g, skip=-1):
+        passes.append(skip)
+        return _scc_class_of(g, skip)
+
+    monkeypatch.setattr(connectivity_mod, "_scc_class_of", counted)
+    condensation_tscc(G_DEMO19)
+    assert passes == [-1]
+    monkeypatch.undo()
+
+    # results and messages as precondition check plus TSCC pass give them
+    graphs = [C3, P2, K3B, G_DEMO19, G_GADGET, remove_arcs(P2, {0}),
+              Digraph((), []), demo_minus_38()]
+    graphs += any_instances(40)
+    graphs += [random_digraph(GeneratorConfig(
+        n_range=(2, 9), m_range=(2, 18), twin_density=(seed % 5) * 0.2,
+        seed=seed, shape="strongly-connected")) for seed in range(40)]
+    for g in graphs:
+        if g.n == 0:
+            with pytest.raises(PreconditionError, match="^empty graph$"):
+                condensation_tscc(g)
+        elif not is_strongly_connected(g):
+            with pytest.raises(PreconditionError,
+                               match="^input is not strongly connected$"):
+                condensation_tscc(g)
+        else:
+            assert condensation_tscc(g).nodes == \
+                twinless_strongly_connected_components(g).classes

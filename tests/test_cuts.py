@@ -170,6 +170,13 @@ def test_strong_bridges_match_recheck_on_strongly_connected_graphs():
         assert strong_bridges(g) == naive_strong_bridges(g)
 
 
+def test_strong_bridges_match_recheck_with_shuffled_arc_ids():
+    graphs = _seeded_graphs("strongly-connected", 200)
+    for seed, g in enumerate(graphs):
+        h = shuffled(g, seed)
+        assert strong_bridges(h) == naive_strong_bridges(h)
+
+
 def test_strong_bridges_on_a_deep_path_need_no_recursion():
     g = path_fan(20001)
     assert len(strong_bridges(g)) == g.n
