@@ -41,10 +41,7 @@ from .core import (Digraph, GraphError, BudgetError, PreconditionError,
 from .partition import Partition, partition_meet
 from .connectivity import (_low_link_class_of, _neighbours, _split_class_of,
                            twinless_strongly_connected_components)
-# the whole-graph passes, which the per-bridge stream never calls; tests
-# that count passes patch them here
-from .connectivity import _scc_class_of, _tscc_class_of  # noqa: F401
-from .cuts import _bridge_report, _Separations, _separations
+from .cuts import _bridge_report, _Separations
 
 MATRIX_VERTEX_BUDGET = 20_000
 SUBSET_BUDGET = 10 ** 6
@@ -251,7 +248,7 @@ def two_edge_blocks(g: Digraph, threads: int = 1) -> BlockSet:
     costs O(n) list set-up plus a Tarjan pass over G[X_e] alone.
     """
     return BlockSet.from_partition(
-        _two_edge_block_partition(g, _separations(g)))
+        _two_edge_block_partition(g, _Separations(g)))
 
 
 def tetb_alg1_matrix(g: Digraph, threads: int = 1) -> BlockSet:
@@ -268,8 +265,7 @@ def tetb_alg1_matrix(g: Digraph, threads: int = 1) -> BlockSet:
         raise BudgetError(
             f"n={g.n} exceeds the n*n separation-matrix budget "
             f"({MATRIX_VERTEX_BUDGET}); use tetb_alg2_refine instead")
-    seps = _Separations(g)
-    rep = _bridge_report(g, seps)
+    rep, seps = _bridge_report(g)
     if not rep.twinless_bridges:
         return BlockSet.from_partition(Partition.single_class(g.n))
     matrix = SeparationMatrix(g.n)
@@ -291,8 +287,7 @@ def tetb_alg2_refine(g: Digraph, mode: str = "safe",
     """
     if mode not in ("safe", "faithful"):
         raise ValueError(f"unknown mode {mode!r}")
-    seps = _Separations(g)
-    rep = _bridge_report(g, seps)
+    rep, seps = _bridge_report(g)
     if mode == "faithful":
         part = _two_edge_block_partition(g, seps)
         refine = rep.twinless_bridges - rep.strong_bridges

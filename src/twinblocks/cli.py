@@ -18,10 +18,9 @@ import time
 from dataclasses import dataclass, fields
 
 from .core import Digraph, GraphError, ParseError, parse_edge_list, serialize
-from .partition import Partition
 from .connectivity import (strongly_connected_components,
                            twinless_strongly_connected_components)
-from .cuts import _separations, strong_bridges, twinless_bridges
+from .cuts import _Separations, strong_bridges, twinless_bridges
 from .blocks import (BlockSet, _two_edge_block_partition,
                      k_edge_twinless_blocks_bruteforce,
                      two_edge_twinless_blocks)
@@ -147,18 +146,14 @@ def _sorted_arcs(g: Digraph, arc_ids) -> list[list[str]]:
                   for i in arc_ids)
 
 
-def _partition_lists(g: Digraph, p: Partition, min_size: int) -> list[list[str]]:
-    rendered = [sorted(g.labels[v] for v in c)
-                for c in p.classes if len(c) >= min_size]
-    return sorted(rendered)
-
-
-def _block_lists(g: Digraph, bs: BlockSet, min_size: int,
+def _label_lists(g: Digraph, sets, min_size: int,
                  include_singletons: bool) -> list[list[str]]:
-    rendered = [sorted(g.labels[v] for v in b)
-                for b in bs.blocks if len(b) >= min_size]
+    """Sets of at least ``min_size`` vertices as sorted label lists, plus,
+    on request, a one-label list per vertex that no set holds."""
+    rendered = [sorted(g.labels[v] for v in c)
+                for c in sets if len(c) >= min_size]
     if include_singletons:
-        covered = bs.covered_vertices()
+        covered = {v for c in sets for v in c}
         rendered.extend([g.labels[v]] for v in range(g.n) if v not in covered)
     return sorted(rendered)
 
@@ -201,15 +196,15 @@ def run(argv: list[str]) -> int:
 
     started = time.perf_counter()
     report = AnalysisReport(n=g.n, m=g.m, analysis=args.command, algorithm="")
+    sets, min_size = None, 2  # vertex sets to render as report.blocks
     try:
         if args.command == "scc":
             report.algorithm = "tarjan"
-            p = strongly_connected_components(g)
-            report.blocks = _partition_lists(g, p, args.min_size or 1)
+            sets, min_size = strongly_connected_components(g).classes, 1
         elif args.command == "tscc":
             report.algorithm = "underlying-2ecc"
-            p = twinless_strongly_connected_components(g)
-            report.blocks = _partition_lists(g, p, args.min_size or 1)
+            sets = twinless_strongly_connected_components(g).classes
+            min_size = 1
         elif args.command == "strong-bridges":
             report.algorithm = "per-arc-recheck"
             sb = strong_bridges(g)
@@ -222,31 +217,29 @@ def run(argv: list[str]) -> int:
             report.b_t = len(tb)
         elif args.command == "2-edge-blocks":
             report.algorithm = "bridge-refinement"
-            seps = _separations(g)
+            seps = _Separations(g)
             sb = seps.strong_bridges()
-            bs = BlockSet.from_partition(_two_edge_block_partition(g, seps))
-            report.blocks = _block_lists(g, bs, args.min_size or 2,
-                                         args.include_singletons)
+            sets = BlockSet.from_partition(
+                _two_edge_block_partition(g, seps)).blocks
             report.strong_bridges = _sorted_arcs(g, sb)
             report.b_s = len(sb)
         elif args.command == "2etb":
             report.algorithm = args.algorithm
             if args.algorithm == "oracle":
-                bs = oracle_two_edge_twinless_blocks(g)
+                sets = oracle_two_edge_twinless_blocks(g).blocks
             else:
-                bs = two_edge_twinless_blocks(g, args.algorithm)
-            report.blocks = _block_lists(g, bs, args.min_size or 2,
-                                         args.include_singletons)
+                sets = two_edge_twinless_blocks(g, args.algorithm).blocks
         elif args.command == "ketb":
             report.algorithm = "bruteforce"
-            bs = k_edge_twinless_blocks_bruteforce(g, args.k)
-            report.blocks = _block_lists(g, bs, args.min_size or 2,
-                                         args.include_singletons)
+            sets = k_edge_twinless_blocks_bruteforce(g, args.k).blocks
         else:  # pragma: no cover
             raise AssertionError(args.command)
     except GraphError as exc:  # PreconditionError included
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    if sets is not None:
+        report.blocks = _label_lists(g, sets, args.min_size or min_size,
+                                     args.include_singletons)
     report.elapsed_ms = round((time.perf_counter() - started) * 1000.0, 3)
     _emit(report, args.format)
     return 0

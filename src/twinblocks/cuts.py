@@ -30,9 +30,10 @@ Twinless strong connectivity is strong connectivity plus a 2-edge-connected
 underlying graph, so the precondition costs the two dominator DFS and the
 bridge test that the 2-cut pass makes anyway.
 
-The same two dominator trees say what each strong bridge cuts off the SCC
-of vertex 0 (``_Separations``); ``blocks`` reads its per-bridge SCC splits
-from them instead of running Tarjan's algorithm once per bridge.
+Every bridge query builds both dominator-tree preorders once, in one
+``_Separations``.  They also say what each strong bridge cuts off the SCC of
+vertex 0; ``blocks`` reads its per-bridge SCC splits from them instead of
+running Tarjan's algorithm once per bridge.
 
 Arc identity (arc_id), not the endpoint pair, names a bridge; that stays
 unambiguous under antiparallel pairs.
@@ -122,16 +123,16 @@ def _immediate_dominators(n: int, succ: Pairs,
     return order, idom
 
 
-def _flow_bridges(n: int, succ: Pairs, pred: Pairs,
-                  trees: list | None = None) -> list[int] | None:
-    """Arc ids of the bridges of the flowgraph rooted at vertex 0, or None
-    when 0 does not reach every vertex.
+def _flow_bridges(n: int, succ: Pairs,
+                  pred: Pairs) -> tuple[list[int], tuple] | None:
+    """``(bridges, tree)`` of the flowgraph rooted at vertex 0, or None when
+    0 does not reach every vertex.
 
-    Arc (u,v) is a bridge iff u = idom(v) and v dominates every other
-    predecessor of v; dominance is an interval test on a preorder of the
-    dominator tree.  When ``trees`` is a list it also receives that
-    preorder as ``(by_pre, pre, size)``, compact int arrays: w dominates
-    exactly ``by_pre[pre[w]:pre[w] + size[w]]``.
+    ``bridges`` are arc ids: arc (u,v) is a bridge iff u = idom(v) and v
+    dominates every other predecessor of v; dominance is an interval test
+    on a preorder of the dominator tree.  ``tree`` is that preorder as
+    ``(by_pre, pre, size)``, compact int arrays: w dominates exactly
+    ``by_pre[pre[w]:pre[w] + size[w]]``.
     """
     order, idom = _immediate_dominators(n, succ, pred)
     if len(order) < n:
@@ -150,11 +151,9 @@ def _flow_bridges(n: int, succ: Pairs, pred: Pairs,
         pre[w] = nxt[u]
         nxt[u] += size[w]
         nxt[w] = pre[w] + 1
-    if trees is not None:
-        by_pre = array("i", bytes(4 * n))
-        for w in order:
-            by_pre[pre[w]] = w
-        trees.append((by_pre, array("i", pre), array("i", size)))
+    by_pre = array("i", bytes(4 * n))
+    for w in order:
+        by_pre[pre[w]] = w
     out = []
     for w in order[1:]:
         u = idom[w]
@@ -169,7 +168,7 @@ def _flow_bridges(n: int, succ: Pairs, pred: Pairs,
         else:
             if bridge >= 0:
                 out.append(bridge)
-    return out
+    return out, (by_pre, array("i", pre), array("i", size))
 
 
 class _Separations:
@@ -182,17 +181,31 @@ class _Separations:
     reaches or that no longer reach 0, so
     SCC(G - e) = {V - X_e} + SCC(G[X_e] - e).  Each part of X_e is a
     dominator subtree, kept as an interval of the preorder that
-    ``_flow_bridges`` builds anyway (Italiano, Laura and Santaroni, TCS
+    ``_flow_bridges`` returns (Italiano, Laura and Santaroni, TCS
     2012; Georgiadis, Italiano, Laura and Parotsidis, "2-Edge Connectivity
     in Directed Graphs", SODA 2015).
     """
 
     __slots__ = ("arcs", "side", "trees")
 
-    def __init__(self, g: Digraph) -> None:
+    def __init__(self, g: Digraph,
+                 message: str = "input is not strongly connected") -> None:
+        """Both dominator searches of g, G_0 first; raises
+        PreconditionError(message) at the first that misses a vertex."""
+        if g.n == 0:
+            raise PreconditionError("empty graph")
         self.arcs = g.arcs
         self.side = bytearray(g.m)  # 1: bridge of G_0, 2: of G_0^R, 3: both
-        self.trees: list = []  # (by_pre, pre, size) of D, then of D^R
+        self.trees = []  # (by_pre, pre, size) of D, then of D^R
+        for bit, succ, pred in ((1, g.out_pairs, g.in_pairs),
+                                (2, g.in_pairs, g.out_pairs)):
+            found = _flow_bridges(g.n, succ, pred)
+            if found is None:
+                raise PreconditionError(message)
+            bridges, tree = found
+            for aid in bridges:
+                self.side[aid] |= bit
+            self.trees.append(tree)
 
     def strong_bridges(self) -> frozenset[int]:
         return frozenset(compress(count(), self.side))
@@ -212,42 +225,12 @@ class _Separations:
         return sorted(parts[0])
 
 
-def _strong_bridge_ids(g: Digraph, message: str,
-                       seps: _Separations | None = None) -> list[int]:
-    """Bridges of G_0 followed by those of G_0^R (an arc may be in both);
-    raises PreconditionError(message) when g is not strongly connected.
-    ``seps``, when given, receives both dominator trees and the side on
-    which each strong bridge lies."""
-    if g.n == 0:
-        raise PreconditionError("empty graph")
-    trees = None if seps is None else seps.trees
-    fwd = _flow_bridges(g.n, g.out_pairs, g.in_pairs, trees)
-    rev = None if fwd is None else _flow_bridges(
-        g.n, g.in_pairs, g.out_pairs, trees)
-    if rev is None:
-        raise PreconditionError(message)
-    if seps is not None:
-        for aid in fwd:
-            seps.side[aid] |= 1
-        for aid in rev:
-            seps.side[aid] |= 2
-    fwd.extend(rev)
-    return fwd
-
-
-def _separations(g: Digraph) -> _Separations:
-    """The strong bridges of a strongly connected g with their X_e."""
-    seps = _Separations(g)
-    _strong_bridge_ids(g, "input is not strongly connected", seps)
-    return seps
-
-
 def strong_bridges(g: Digraph, threads: int = 1) -> frozenset[int]:
     """Arc ids whose removal destroys strong connectivity.
 
     Requires a strongly connected input.
     """
-    return frozenset(_strong_bridge_ids(g, "input is not strongly connected"))
+    return _Separations(g).strong_bridges()
 
 
 def _unpaired_two_cut_arcs(g: Digraph, twin: Sequence[int]) -> list[int]:
@@ -366,18 +349,13 @@ class BridgeReport:
         return len(self.twinless_bridges)
 
 
-def _bridge_report(g: Digraph,
-                   seps: _Separations | None = None) -> BridgeReport:
-    """``bridge_report(g)``; ``seps``, when given, also receives the X_e of
-    each strong bridge from the same two dominator trees."""
-    # kept as a list, not a set, through the 2-cut pass: that pass is the
-    # memory peak of a bridge report
-    strong_ids = _strong_bridge_ids(
-        g, "input is not twinless strongly connected", seps)
+def _bridge_report(g: Digraph) -> tuple[BridgeReport, _Separations]:
+    """``bridge_report(g)`` with the ``_Separations`` it was read from."""
+    seps = _Separations(g, "input is not twinless strongly connected")
     two_cut = _unpaired_two_cut_arcs(g, g._twin)
-    strong = frozenset(strong_ids)
-    twinless = strong.union(two_cut)
-    return BridgeReport(strong, twinless)
+    # the sets come after the 2-cut pass, a bridge report's memory peak
+    strong = seps.strong_bridges()
+    return BridgeReport(strong, strong.union(two_cut)), seps
 
 
 def bridge_report(g: Digraph, threads: int = 1) -> BridgeReport:
@@ -387,7 +365,7 @@ def bridge_report(g: Digraph, threads: int = 1) -> BridgeReport:
     DFS plus the cover counts of the 2-cut pass, which raises on an
     underlying bridge.
     """
-    return _bridge_report(g)
+    return _bridge_report(g)[0]
 
 
 def twinless_bridges(g: Digraph, threads: int = 1) -> frozenset[int]:

@@ -288,7 +288,9 @@ def random_digraph(cfg: GeneratorConfig) -> Digraph:
     Strongly connected shapes are seeded with a random Hamiltonian cycle
     and filled with extra arcs; the twinless shape is validated before
     returning.  Twin density steers how often a new arc is the reverse of
-    an existing one.
+    an existing one.  Once more than 50 * (m + 1) random draws have missed
+    (a loop or a present arc), the dense endgame lists every absent arc
+    and draws from that list: O(n^2) time and memory.
     """
     rng = random.Random(cfg.seed)
     n = rng.randint(*cfg.n_range)

@@ -18,7 +18,7 @@ from twinblocks.blocks import _scc_splits
 from twinblocks.connectivity import (_low_link_class_of, _neighbours,
                                      _scc_class_of, _split_class_of,
                                      _tscc_class_of)
-from twinblocks.cuts import _bridge_report, _Separations, _separations
+from twinblocks.cuts import _bridge_report, _Separations
 from twinblocks.fixtures import C3, G_DEMO19, G_GADGET, K3B, P2
 
 from helpers import (any_instances, blob_chain, cycle, label_blocks,
@@ -154,32 +154,6 @@ def test_adversarial_shapes_match_oracle(g, b_s, b_t):
     assert tetb_alg2_refine(g, "faithful") == expected
 
 
-@pytest.mark.parametrize("g", [cycle(9), path_fan(13)],
-                         ids=["cycle", "path-fan"])
-def test_alg2_stops_once_all_singletons(g, monkeypatch):
-    passes = []
-
-    def counted(kernel):
-        def wrapper(h, skip=-1):
-            passes.append(skip)
-            return kernel(h, skip)
-        return wrapper
-
-    monkeypatch.setattr(blocks_mod, "_tscc_class_of",
-                        counted(blocks_mod._tscc_class_of))
-    monkeypatch.setattr(blocks_mod, "_scc_class_of",
-                        counted(blocks_mod._scc_class_of))
-    assert bridge_report(g).b_t == g.n  # n passes without the prune
-    expected = oracle_two_edge_twinless_blocks(g)
-    for mode in ("safe", "faithful"):
-        passes.clear()
-        assert tetb_alg2_refine(g, mode) == expected
-        assert len(passes) <= 1, mode
-    passes.clear()
-    assert two_edge_blocks(g) == BlockSet(frozenset())
-    assert len(passes) <= 1
-
-
 @pytest.mark.parametrize("g, b_s, b_t", [
     (cycle(7), 7, 7), (path_fan(11), 11, 11),
     (blob_chain(2, 4), 1, 2), (blob_chain(3, 3), 2, 4),
@@ -267,7 +241,7 @@ def test_dominator_interval_splits_equal_scc_passes():
     checked = 0
     for g in _stream_graphs():
         for sub in _components(g, strongly_connected_components(g)):
-            seps = _separations(sub)
+            seps = _Separations(sub)
             assert seps.strong_bridges() == strong_bridges(sub)
             for e in seps.strong_bridges():
                 assert Partition(_split_class_of(sub, seps.cut_off(e), e)) \
@@ -280,8 +254,7 @@ def test_localized_stream_equals_full_passes():
     skipped = 0
     for g in _stream_graphs():
         for sub in _components(g, twinless_strongly_connected_components(g)):
-            seps = _Separations(sub)
-            rep = _bridge_report(sub, seps)
+            rep, seps = _bridge_report(sub)
             assert seps.strong_bridges() == rep.strong_bridges
             nbrs = _neighbours(sub)
             splits = {}
@@ -316,6 +289,7 @@ def test_stream_runs_at_most_one_kernel_pass(g, monkeypatch):
             return fn(*args)
         return wrapper
 
+    assert bridge_report(g).b_t == g.n  # n passes without the prune
     expected = oracle_two_edge_twinless_blocks(g)
     monkeypatch.setattr(blocks_mod, "_low_link_class_of",
                         counted(_low_link_class_of, kernel))

@@ -108,6 +108,29 @@ def test_precondition_exit_code(p2_path, capsys):
     assert "input is not twinless strongly connected" in err
 
 
+@pytest.mark.parametrize("command, not_sc, p2_code", [
+    ("strong-bridges", "input is not strongly connected", 0),
+    ("twinless-bridges", "input is not twinless strongly connected", 3),
+    ("2-edge-blocks", "input is not strongly connected", 0),
+], ids=["strong-bridges", "twinless-bridges", "2-edge-blocks"])
+def test_bridge_commands_pin_precondition_messages(tmp_path, capsys, command,
+                                                   not_sc, p2_code):
+    path = tmp_path / "g.txt"
+    for text, code, message in (
+            ("", 3, "empty graph"), ("1 2\n", 3, not_sc),
+            (P2_TEXT + "\n", p2_code,
+             "input is not twinless strongly connected")):
+        path.write_text(text, encoding="utf-8")
+        assert run([command, "--input", str(path)]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.out == ""
+            assert captured.err == f"error: {message}\n"
+        else:
+            assert captured.err == ""
+            assert "n: 2" in captured.out
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("1 1\n", encoding="utf-8")

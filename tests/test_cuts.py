@@ -1,16 +1,20 @@
+import functools
 import random
 
 import pytest
 
-from twinblocks import (Digraph, GeneratorConfig, PreconditionError,
+from twinblocks import (BlockSet, Digraph, GeneratorConfig, PreconditionError,
                         UndirectedGraph, bridge_report, bridges_undirected,
                         is_twinless_strongly_connected, random_digraph,
                         remove_arcs, strong_bridges, tetb_alg1_matrix,
                         tetb_alg2_refine, twin_arc_ids, twinless_bridges,
                         twinless_strongly_connected_components,
-                        underlying_graph)
-from twinblocks.cuts import _immediate_dominators, _unpaired_two_cut_arcs
-from twinblocks.fixtures import C3, G_DEMO19, G_GADGET, K3B, P2
+                        two_edge_blocks, underlying_graph)
+from twinblocks.cli import run
+from twinblocks.cuts import (_immediate_dominators, _Separations,
+                             _unpaired_two_cut_arcs)
+from twinblocks.fixtures import (C3, DEMO19_EDGE_TEXT, G_DEMO19, G_GADGET,
+                                K3B, P2)
 
 from helpers import (blob_chain, cycle, labels_of_arcs, naive_strong_bridges,
                      naive_twinless_bridges, path_fan, shuffled,
@@ -41,6 +45,62 @@ def test_twinless_bridges_precondition():
     with pytest.raises(PreconditionError,
                        match="input is not twinless strongly connected"):
         twinless_bridges(P2)
+
+
+NOT_SC = "^input is not strongly connected$"
+NOT_TSC = "^input is not twinless strongly connected$"
+
+
+# every bridge-search entry point: its message when the input is not
+# strongly connected, and its result on P2 (None: refused, since P2 is
+# strongly connected but not twinless strongly connected)
+@pytest.mark.parametrize("search, not_sc, on_p2", [
+    (strong_bridges, NOT_SC, frozenset({0, 1})),
+    (two_edge_blocks, NOT_SC, BlockSet(frozenset())),
+    (bridge_report, NOT_TSC, None),
+    (twinless_bridges, NOT_TSC, None),
+    (tetb_alg1_matrix, NOT_TSC, None),
+    (functools.partial(tetb_alg2_refine, mode="safe"), NOT_TSC, None),
+    (functools.partial(tetb_alg2_refine, mode="faithful"), NOT_TSC, None),
+], ids=["strong_bridges", "two_edge_blocks", "bridge_report",
+        "twinless_bridges", "tetb_alg1_matrix", "tetb_alg2_refine-safe",
+        "tetb_alg2_refine-faithful"])
+def test_bridge_searches_pin_precondition_messages(search, not_sc, on_p2):
+    with pytest.raises(PreconditionError, match="^empty graph$"):
+        search(Digraph((), []))
+    with pytest.raises(PreconditionError, match=not_sc):
+        search(remove_arcs(P2, {0}))
+    if on_p2 is None:
+        with pytest.raises(PreconditionError, match=NOT_TSC):
+            search(P2)
+    else:
+        assert search(P2) == on_p2
+
+
+def test_each_bridge_search_builds_one_separations(tmp_path, capsys,
+                                                  monkeypatch):
+    built = []
+    init = _Separations.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(_Separations, "__init__", counted)
+    for search in (strong_bridges, bridge_report, twinless_bridges,
+                   two_edge_blocks, tetb_alg1_matrix,
+                   functools.partial(tetb_alg2_refine, mode="safe"),
+                   functools.partial(tetb_alg2_refine, mode="faithful")):
+        built.clear()
+        search(G_DEMO19)
+        assert len(built) == 1, search
+    path = tmp_path / "demo19.txt"
+    path.write_text(DEMO19_EDGE_TEXT + "\n", encoding="utf-8")
+    for command in ("strong-bridges", "twinless-bridges", "2-edge-blocks"):
+        built.clear()
+        assert run([command, "--input", str(path)]) == 0
+        assert len(built) == 1, command
+    capsys.readouterr()
 
 
 # strongly connected, but the joining twin pair is an underlying bridge

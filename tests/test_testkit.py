@@ -172,3 +172,24 @@ def test_pipeline_modules_leave_the_references_to_testkit(module):
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
     assert not names & REFERENCES
+
+
+MODULES = sorted(path.stem for path in
+                 Path(twinblocks.__file__).parent.glob("*.py")
+                 if path.stem != "__init__")
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_uses_every_name_it_imports(module):
+    source = Path(twinblocks.__file__).with_name(f"{module}.py")
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    imported, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0]
+                            for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+    assert not imported - used
