@@ -280,6 +280,32 @@ def test_localized_stream_equals_full_passes():
 
 @pytest.mark.parametrize("g", [cycle(9), path_fan(13)],
                          ids=["cycle", "path-fan"])
+def test_alg2_stops_once_all_singletons(g, monkeypatch):
+    passed = []  # bridge ids of every per-bridge pass, split or kernel
+
+    def counted(fn):
+        def wrapper(*args):
+            passed.append(args[-1])
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(blocks_mod, "_split_class_of",
+                        counted(_split_class_of))
+    monkeypatch.setattr(blocks_mod, "_low_link_class_of",
+                        counted(_low_link_class_of))
+    assert bridge_report(g).b_t == g.n  # n bridges without the prune
+    expected = oracle_two_edge_twinless_blocks(g)
+    for mode in ("safe", "faithful"):
+        passed.clear()
+        assert tetb_alg2_refine(g, mode) == expected
+        assert len(set(passed)) <= 1, mode
+    passed.clear()
+    assert two_edge_blocks(g) == BlockSet(frozenset())
+    assert len(set(passed)) <= 1
+
+
+@pytest.mark.parametrize("g", [cycle(9), path_fan(13)],
+                         ids=["cycle", "path-fan"])
 def test_stream_runs_at_most_one_kernel_pass(g, monkeypatch):
     kernel, whole = [], []
 
@@ -289,7 +315,6 @@ def test_stream_runs_at_most_one_kernel_pass(g, monkeypatch):
             return fn(*args)
         return wrapper
 
-    assert bridge_report(g).b_t == g.n  # n passes without the prune
     expected = oracle_two_edge_twinless_blocks(g)
     monkeypatch.setattr(blocks_mod, "_low_link_class_of",
                         counted(_low_link_class_of, kernel))
