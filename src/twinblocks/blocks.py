@@ -18,7 +18,8 @@ neighbour list built once per graph, and skips a strong bridge whose split
 repeats an earlier one.  Full undirected passes therefore number b_t
 minus the repeated splits, plus O(sum of |G[X_e]|) local work; that sum
 is quadratic on a directed cycle, which costs ``alg1`` (no all-singleton
-stop) O(n^2) there.
+stop) O(n^2) there.  A split stays a plain class list up to the meet,
+which zips it with the running class ids into one O(n) ``Partition``.
 
 Two algorithms are provided for the twinless variant.  The matrix
 transcription (``tetb_alg1_matrix``) marks separated pairs in an n-by-n
@@ -71,6 +72,8 @@ class SeparationMatrix:
 
     def separate_across(self, p: Partition) -> None:
         """Clear every pair that lands in distinct classes of p."""
+        if p.n != self.n:
+            raise GraphError(f"universe mismatch: {p.n} != {self.n}")
         masks = [0] * p.num_classes
         for v in range(self.n):
             masks[p.class_of[v]] |= 1 << v
@@ -182,9 +185,10 @@ def _scc_splits(g: Digraph, seps: _Separations, bridges):
     stays strongly connected.  The skip is exact for the SCC and the TSCC
     meets alike: the ends of a strong bridge lie in different SCCs of
     g - e, so TSCC(g - e) depends on SCC(g - e) alone, and a meet is
-    idempotent.  A split that cuts off one vertex x is recorded as a flag
-    on x; a larger one by its canonical form, X_e ascending and then its
-    classes numbered by first occurrence.  Both go with the generator.
+    idempotent.  A split that cuts off one vertex x is fixed by x, so it
+    is recorded as a flag on x and checked before the split is computed;
+    a larger one by its canonical form, X_e ascending and then its classes
+    numbered by first occurrence.  Both go with the generator.
     """
     zero = [0] * g.n
     alone = bytearray(g.n)
@@ -194,15 +198,14 @@ def _scc_splits(g: Digraph, seps: _Separations, bridges):
         if not cut:
             yield e, zero
             continue
-        scc_of = _split_class_of(g, cut, e)
         if len(cut) == 1:
             if alone[cut[0]]:
                 continue
             alone[cut[0]] = 1
+            scc_of = _split_class_of(g, cut, e)
         else:
-            norm: dict[int, int] = {}
-            key = (*cut, *[norm.setdefault(scc_of[x], len(norm))
-                           for x in cut])
+            scc_of = _split_class_of(g, cut, e)
+            key = (*cut, *Partition([scc_of[x] for x in cut]).class_of)
             if key in seen:
                 continue
             seen.add(key)
@@ -220,14 +223,14 @@ def _tscc_stream(g: Digraph, seps: _Separations, bridges):
         yield _low_link_class_of(nbrs, scc_of, e)
 
 
-def _meet(g: Digraph, part: Partition, class_lists) -> Partition:
-    """Meet ``part`` with each class list in turn; stop at all singletons,
-    which no further meet can split, so the rest of the stream is never
-    computed."""
-    if part.num_classes < g.n:
+def _meet(part: Partition, class_lists) -> Partition:
+    """Meet ``part`` with each class list in turn, zipping the raw list
+    into one ``Partition`` per meet; stop at all singletons, which no
+    further meet can split, so the rest of the stream is never computed."""
+    if part.num_classes < part.n:
         for class_of in class_lists:
-            part = partition_meet(part, Partition(class_of))
-            if part.num_classes == g.n:
+            part = Partition(zip(part.class_of, class_of))
+            if part.num_classes == part.n:
                 break
     return part
 
@@ -236,7 +239,7 @@ def _two_edge_block_partition(g: Digraph, seps: _Separations) -> Partition:
     """2-edge blocks as a partition, non-block vertices as singletons: the
     meet of the SCC splits of the strong bridges in ``seps``."""
     splits = _scc_splits(g, seps, seps.strong_bridges())
-    return _meet(g, Partition.single_class(g.n),
+    return _meet(Partition.single_class(g.n),
                  (scc_of for _e, scc_of in splits))
 
 
@@ -295,7 +298,7 @@ def tetb_alg2_refine(g: Digraph, mode: str = "safe",
         part = Partition.single_class(g.n)
         refine = rep.twinless_bridges
     return BlockSet.from_partition(
-        _meet(g, part, _tscc_stream(g, seps, refine)))
+        _meet(part, _tscc_stream(g, seps, refine)))
 
 
 def two_edge_twinless_blocks(g: Digraph, algorithm: str = "alg2-safe",

@@ -5,7 +5,7 @@ same grouping compare equal regardless of how they were produced.
 """
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable
 
 from .core import GraphError
 
@@ -13,15 +13,11 @@ from .core import GraphError
 class Partition:
     __slots__ = ("n", "class_of", "num_classes", "_classes")
 
-    def __init__(self, class_of: Sequence[Hashable]):
+    def __init__(self, class_of: Iterable[Hashable]):
         norm: dict[Hashable, int] = {}
-        canon = []
-        for c in class_of:
-            if c not in norm:
-                norm[c] = len(norm)
-            canon.append(norm[c])
-        self.n = len(canon)
-        self.class_of = tuple(canon)
+        self.class_of = tuple([norm.setdefault(c, len(norm))
+                               for c in class_of])
+        self.n = len(self.class_of)
         self.num_classes = len(norm)
         self._classes: tuple[tuple[int, ...], ...] | None = None
 
@@ -34,6 +30,8 @@ class Partition:
         class_of = [-1] * n
         for idx, members in enumerate(classes):
             for v in members:
+                if not 0 <= v < n:
+                    raise GraphError(f"unknown vertex id {v}")
                 if class_of[v] != -1:
                     raise GraphError(f"vertex {v} appears in two classes")
                 class_of[v] = idx
@@ -74,4 +72,4 @@ def partition_meet(p: Partition, q: Partition) -> Partition:
     one in p and in q."""
     if p.n != q.n:
         raise GraphError(f"universe mismatch: {p.n} != {q.n}")
-    return Partition(list(zip(p.class_of, q.class_of)))
+    return Partition(zip(p.class_of, q.class_of))

@@ -90,9 +90,9 @@ def run_selftest(out=print) -> int:
         recheck = {a.arc_id for a in h.arcs
                    if twinless_strongly_connected_components(
                        remove_arcs(h, {a.arc_id})).num_classes > 1}
+        alg1, alg2 = tetb_alg1_matrix(h), tetb_alg2_refine(h, "safe")
         ok = (twinless_strongly_connected_components(h) == oracle_tscc(h)
-              and tetb_alg1_matrix(h) == tetb_alg2_refine(h, "safe")
-              == oracle_two_edge_twinless_blocks(h)
+              and alg1 == alg2 == oracle_two_edge_twinless_blocks(h)
               and bridges == recheck and len(bridges) <= 2 * h.n - 2)
         if not ok:
             bad += 1
@@ -101,7 +101,7 @@ def run_selftest(out=print) -> int:
         for e in bridges:
             part = partition_meet(part, Partition(_tscc_class_of(h, e)))
         reference = BlockSet.from_partition(part)
-        if not tetb_alg1_matrix(h) == tetb_alg2_refine(h, "safe") == reference:
+        if not alg1 == alg2 == reference:
             off_reference += 1
     check(f"{RANDOM_ROUNDS} seeded random instances agree with the oracles",
           bad == 0, f"{bad} mismatching seeds")

@@ -14,7 +14,7 @@ from twinblocks import (BlockSet, BudgetError, Digraph, GeneratorConfig,
                         underlying_graph)
 from twinblocks import blocks as blocks_mod
 from twinblocks import connectivity as connectivity_mod
-from twinblocks.blocks import _scc_splits
+from twinblocks.blocks import _meet, _scc_splits
 from twinblocks.connectivity import (_low_link_class_of, _neighbours,
                                      _scc_class_of, _split_class_of,
                                      _tscc_class_of)
@@ -457,6 +457,39 @@ def test_separation_matrix():
     m.assert_symmetric()
     m.separate_across(Partition([0, 1, 1, 1]))
     assert m.never_separated_components() == [frozenset({2, 3})]
+
+
+def test_separation_matrix_universe_mismatch():
+    for p in (Partition([0, 1, 1, 0, 2]), Partition([0, 1])):
+        with pytest.raises(GraphError, match="universe mismatch"):
+            SeparationMatrix(3).separate_across(p)
+
+
+def test_meet_of_raw_class_lists_equals_partition_meet_fold():
+    lists = [[5, 5, 2, 9, 5, 2], [7, 7, 7, 7, 0, 0], [1, 1, 3, 3, 1, 3]]
+    for start in (Partition.single_class(6), Partition([4, 4, 4, 1, 1, 1])):
+        expected = start
+        for class_of in lists:
+            expected = partition_meet(expected, Partition(class_of))
+        assert _meet(start, iter(lists)) == expected
+    assert _meet(Partition([0, 0, 1]), []) == Partition([0, 0, 1])
+
+
+def test_meet_stops_before_pulling_past_all_singletons():
+    pulled = []
+
+    def stream():
+        for class_of in ([2, 2, 8, 8], [1, 0, 1, 0]):
+            pulled.append(class_of)
+            yield class_of
+        raise AssertionError("advanced past an all-singleton meet")
+
+    assert _meet(Partition.single_class(4), stream()) == \
+        Partition([0, 1, 2, 3])
+    assert len(pulled) == 2
+    already = Partition([0, 1, 2])
+    assert _meet(already, stream()) is already
+    assert len(pulled) == 2
 
 
 def test_blockset_validation_and_rendering():

@@ -27,12 +27,21 @@ def test_from_classes_validation():
         Partition.from_classes(2, [{0, 1}, {1}])
     with pytest.raises(GraphError, match="cover"):
         Partition.from_classes(3, [{0, 1}])
+    with pytest.raises(GraphError, match="unknown vertex id -1"):
+        Partition.from_classes(3, [[0, 1], [-1]])
+    with pytest.raises(GraphError, match="unknown vertex id 3"):
+        Partition.from_classes(3, [[0, 1], [2, 3]])
 
 
 def test_canonical_class_indexing():
     assert Partition([5, 5, 9, 5]).class_of == (0, 0, 1, 0)
     assert Partition([1, 0, 1]) == Partition([0, 1, 0])
     assert Partition([0, 1, 1]).classes == ((0,), (1, 2))
+
+
+def test_any_iterable_of_ids():
+    assert Partition(iter([3, 3, 1])) == Partition([3, 3, 1])
+    assert Partition(zip([0, 0, 1], "aab")).class_of == (0, 0, 1)
 
 
 def test_queries():
