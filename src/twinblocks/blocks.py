@@ -13,11 +13,17 @@ bridge search builds, the set X_e each strong bridge e cuts off from the
 SCC of vertex 0; a Tarjan pass over G[X_e] - e gives the rest of the SCC
 split of G - e, and a twinless bridge that is not strong leaves G - e
 strongly connected.  The 2-edge blocks meet these splits directly.  The
-twinless variant runs one undirected low-link pass per split, over a
-neighbour list built once per graph, and skips a strong bridge whose split
-repeats an earlier one.  Full undirected passes therefore number b_t
-minus the repeated splits, plus O(sum of |G[X_e]|) local work; that sum
-is quadratic on a directed cycle, which costs ``alg1`` (no all-singleton
+twinless variant reads most of its splits off the DFS tree of the
+underlying graph U that the bridge report's 2-cut pass keeps: a twinless
+bridge that is not strong gets the preorder rings of its 2-cut class in
+O(n), and the strong bridges that cut off one vertex x with U - x
+2-edge-connected are met as one split, from a certificate built once per
+graph in O((n + m) log n) when at least ceil(log2 n) vertices are cut off
+alone.  Only the other splits run an undirected low-link pass, over a
+neighbour list built once per graph, skipping a strong bridge whose split
+repeats an earlier one.  Full undirected passes therefore number only
+these fallbacks, plus O(sum of |G[X_e]|) local work; that sum is
+quadratic on a directed cycle, which costs ``alg1`` (no all-singleton
 stop) O(n^2) there.  A split stays a plain class list up to the meet,
 which zips it with the running class ids into one O(n) ``Partition``.
 
@@ -213,14 +219,40 @@ def _scc_splits(g: Digraph, seps: _Separations, bridges):
 
 
 def _tscc_stream(g: Digraph, seps: _Separations, bridges):
-    """TSCC classes of g minus each bridge, as in ``_scc_splits``: one
-    low-link kernel pass per yielded split over a neighbour list built once
-    here, and no Tarjan pass over the whole graph."""
+    """TSCC classes of g minus each bridge, met in any order, from the DFS
+    tree of the underlying graph U that the bridge report kept.
+
+    * A twinless bridge that is not a strong bridge gets the preorder
+      rings of its 2-cut class of U, read off the tree with no traversal.
+    * A strong bridge that cuts off one vertex x splits g into {x} and the
+      2-edge-connected classes of U - x.  When the certificate says U - x
+      is 2-edge-connected, the split is x alone; all such x are met in one
+      split.  The certificate costs O((n + m) log n), about as much as
+      log n kernel passes, so it is built only when at least ceil(log2 n)
+      vertices are cut off alone.
+    * Every other split is a fallback: the SCC split of ``_scc_splits``,
+      then one low-link kernel pass over a neighbour list built once here.
+    """
     if not bridges:
-        return  # no neighbour list for a graph without bridges
-    nbrs = _neighbours(g)
-    for e, scc_of in _scc_splits(g, seps, bridges):
-        yield _low_link_class_of(nbrs, scc_of, e)
+        return
+    tree = seps.cut_tree
+    yield from tree.rings(g, sorted(e for e in bridges if not seps.side[e]))
+    alone = {e: seps.alone(e) for e in sorted(bridges) if seps.side[e]}
+    xs = set(alone.values())
+    xs.discard(-1)
+    certified: set[int] = set()
+    if len(xs) >= (g.n - 1).bit_length():
+        certified = set(tree.certified(g, xs))
+    if certified:
+        class_of = [0] * g.n
+        for i, x in enumerate(certified, 1):
+            class_of[x] = i
+        yield class_of
+    rest = [e for e, x in alone.items() if x not in certified]
+    if rest:  # no neighbour list when nothing falls back
+        nbrs = _neighbours(g)
+        for e, scc_of in _scc_splits(g, seps, rest):
+            yield _low_link_class_of(nbrs, scc_of, e)
 
 
 def _meet(part: Partition, class_lists) -> Partition:

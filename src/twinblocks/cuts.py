@@ -33,7 +33,14 @@ bridge test that the 2-cut pass makes anyway.
 Every bridge query builds both dominator-tree preorders once, in one
 ``_Separations``.  They also say what each strong bridge cuts off the SCC of
 vertex 0; ``blocks`` reads its per-bridge SCC splits from them instead of
-running Tarjan's algorithm once per bridge.
+running Tarjan's algorithm once per bridge.  A bridge report keeps the DFS
+tree of its 2-cut pass there too (``_CutTree``), and ``blocks`` reads from
+it the TSCC split of each twinless bridge that is not strong (the preorder
+rings of its 2-cut class, O(n) each) and which single cut-off vertices x
+leave U - x 2-edge-connected (a certificate in O((n + m) log n), which
+only the block algorithms build, and only when at least ceil(log2 n)
+vertices are cut off alone); only the other splits take a full low-link
+pass.
 
 Arc identity (arc_id), not the endpoint pair, names a bridge; that stays
 unambiguous under antiparallel pairs.
@@ -42,8 +49,9 @@ unambiguous under antiparallel pairs.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, compress, count
+from itertools import accumulate, chain, compress, count
 from typing import Sequence
 
 from .core import Digraph, GraphError, PreconditionError
@@ -186,7 +194,7 @@ class _Separations:
     in Directed Graphs", SODA 2015).
     """
 
-    __slots__ = ("arcs", "side", "trees")
+    __slots__ = ("arcs", "side", "trees", "cut_tree")
 
     def __init__(self, g: Digraph,
                  message: str = "input is not strongly connected") -> None:
@@ -195,6 +203,7 @@ class _Separations:
         if g.n == 0:
             raise PreconditionError("empty graph")
         self.arcs = g.arcs
+        self.cut_tree: _CutTree | None = None  # set by a bridge report
         self.side = bytearray(g.m)  # 1: bridge of G_0, 2: of G_0^R, 3: both
         self.trees = []  # (by_pre, pre, size) of D, then of D^R
         for bit, succ, pred in ((1, g.out_pairs, g.in_pairs),
@@ -209,6 +218,16 @@ class _Separations:
 
     def strong_bridges(self) -> frozenset[int]:
         return frozenset(compress(count(), self.side))
+
+    def alone(self, e: int) -> int:
+        """The one vertex of X_e, or -1 when X_e is empty or larger."""
+        side = self.side[e]
+        if side == 1 or side == 2:
+            u, v, _ = self.arcs[e]
+            w = v if side == 1 else u
+            if self.trees[side - 1][2][w] == 1:  # dominator subtree size
+                return w
+        return -1
 
     def cut_off(self, e: int) -> list[int]:
         """X_e in ascending order; empty when e is not a strong bridge."""
@@ -233,104 +252,368 @@ def strong_bridges(g: Digraph, threads: int = 1) -> frozenset[int]:
     return _Separations(g).strong_bridges()
 
 
-def _unpaired_two_cut_arcs(g: Digraph, twin: Sequence[int]) -> list[int]:
-    """Arc ids of the unpaired arcs whose underlying edge lies in a 2-edge
-    cut; raises PreconditionError when the underlying graph has a bridge.
+class _CutTree:
+    """The DFS tree of the underlying graph U that the 2-cut pass walks,
+    kept for the per-bridge TSCC splits of ``blocks``.
 
-    One DFS of the underlying graph over in- and out-arcs makes every other
-    edge a back edge, which covers the tree path between its ends.  The
-    tree edge into v has ``cnt[v]`` covers with arc-id XOR ``acc[v]``; a
-    2-edge cut is a tree edge with a single cover plus that cover, or two
-    tree edges with equal cover sets, which then lie on one root path.  Let
-    ``high[v]`` be the largest preorder number of an upper end among v's
-    covers.  For u an ancestor of v, equal cover sets mean equal
-    (cnt, high) keys, and equal keys mean equal cover sets: high[v] lies
-    above u, so all of v's covers cover u, and cnt leaves u no others.
+    One DFS of U over in- and out-arcs makes every other edge a back edge,
+    which covers the tree path between its ends.  The tree edge into v has
+    ``cnt[v]`` covers with arc-id XOR ``acc[v]``; a 2-edge cut is a tree
+    edge with a single cover plus that cover, or two tree edges with equal
+    cover sets, which then lie on one root path.  Let ``high[v]`` be the
+    largest preorder number of an upper end among v's covers.  For u an
+    ancestor of v, equal cover sets mean equal (cnt, high) keys, and equal
+    keys mean equal cover sets: high[v] lies above u, so all of v's covers
+    cover u, and cnt leaves u no others.
 
     So v is compared only with the last vertex w before it in preorder
     that has its key.  If an ancestor a of v has the key but w is not an
     ancestor of v, then w lies below a beside v, and the back edge giving
-    ``high[w]`` covers a but not v: a contradiction.
+    ``high[w]`` covers a but not v: a contradiction.  ``chain[v]`` is that
+    w when it is an ancestor of v, else -1: the tree edges of one 2-cut
+    class form one chain, and a class whose cover count is 1 also holds
+    that cover.
+
+    ``unpaired`` lists the unpaired arcs whose underlying edge lies in a
+    2-edge cut.  The constructor raises PreconditionError when U has a
+    bridge.
     """
-    n = g.n
-    out = g.out_pairs
-    inc = g.in_pairs
-    parent = [-1] * n
-    disc = [-1] * n
-    tout = [0] * n  # largest preorder number in v's subtree
-    disc[0] = 0
-    order = [0]
-    work = [(0, chain(out[0], inc[0]))]
-    while work:
-        v, arcs = work[-1]
-        for w, _ in arcs:
-            if disc[w] < 0:
-                parent[w] = v
-                disc[w] = len(order)
-                order.append(w)
-                work.append((w, chain(out[w], inc[w])))
-                break
-        else:
-            tout[v] = len(order) - 1
-            work.pop()
-    if len(order) != n:
-        raise GraphError("internal: underlying graph is not connected")
 
-    # +1 at the lower end and -1 at the upper end turn a subtree sum into
-    # "back edges with exactly one endpoint below here"
-    cnt = [0] * n
-    acc = [0] * n
-    lower_ends: list[list[int]] = [[] for _ in range(n)]  # by upper end
-    for s, t, aid in g.arcs:
-        if parent[t] == s or parent[s] == t or twin[aid] > aid:
-            continue  # tree edge, or the twin stands for this edge
-        d, a = (s, t) if disc[s] > disc[t] else (t, s)
-        cnt[d] += 1
-        cnt[a] -= 1
-        acc[d] ^= aid
-        acc[a] ^= aid
-        lower_ends[a].append(d)
-    for v in reversed(order):
-        p = parent[v]
-        if p != -1:
-            cnt[p] += cnt[v]
-            acc[p] ^= acc[v]
+    __slots__ = ("parent", "pre", "order", "tout", "cnt", "acc", "high",
+                 "chain", "unpaired")
 
-    # high[] by union-find: upper ends in decreasing preorder, each back
-    # edge labels the unlabelled tree path from its lower end up, and a
-    # labelled vertex is joined to its parent
-    high = [-1] * n
-    jump = list(range(n))
-    for a in reversed(order):
-        h = disc[a]
-        for x in lower_ends[a]:
-            while True:
-                while jump[x] != x:  # path halving
-                    jump[x] = x = jump[jump[x]]
-                if disc[x] <= h:
+    def __init__(self, g: Digraph, twin: Sequence[int]) -> None:
+        n = g.n
+        out = g.out_pairs
+        inc = g.in_pairs
+        parent = [-1] * n
+        disc = [-1] * n
+        tout = [0] * n  # largest preorder number in v's subtree
+        disc[0] = 0
+        order = [0]
+        work = [(0, chain(out[0], inc[0]))]
+        while work:
+            v, arcs = work[-1]
+            for w, _ in arcs:
+                if disc[w] < 0:
+                    parent[w] = v
+                    disc[w] = len(order)
+                    order.append(w)
+                    work.append((w, chain(out[w], inc[w])))
                     break
-                high[x] = h
-                jump[x] = x = parent[x]
+            else:
+                tout[v] = len(order) - 1
+                work.pop()
+        if len(order) != n:
+            raise GraphError("internal: underlying graph is not connected")
+        self.parent, self.pre = parent, disc
+        self.order, self.tout = order, tout
 
-    cut = bytearray(n)  # the tree edge into v lies in a 2-edge cut
-    unique_cover: set[int] = set()
-    last: dict[tuple[int, int], int] = {}
-    for v in order[1:]:
-        c = cnt[v]
-        if c == 0:
-            raise PreconditionError("input is not twinless strongly connected")
-        if c == 1:
-            cut[v] = 1
-            unique_cover.add(acc[v])
-            continue
-        key = (c, high[v])
-        u = last.get(key)
-        if u is not None and disc[v] <= tout[u]:
-            cut[u] = cut[v] = 1
-        last[key] = v
-    return [aid for s, t, aid in g.arcs if twin[aid] < 0 and (
-        cut[t] if parent[t] == s else cut[s] if parent[s] == t
-        else aid in unique_cover)]
+        # +1 at the lower end and -1 at the upper end turn a subtree sum
+        # into "back edges with exactly one endpoint below here"
+        cnt = [0] * n
+        acc = [0] * n
+        lower_ends: list[list[int]] = [[] for _ in range(n)]  # by upper end
+        for d, a, aid in self._back_edges(g.arcs, twin):
+            cnt[d] += 1
+            cnt[a] -= 1
+            acc[d] ^= aid
+            acc[a] ^= aid
+            lower_ends[a].append(d)
+        for v in reversed(order):
+            p = parent[v]
+            if p != -1:
+                cnt[p] += cnt[v]
+                acc[p] ^= acc[v]
+
+        # high[] by union-find: upper ends in decreasing preorder, each back
+        # edge labels the unlabelled tree path from its lower end up, and a
+        # labelled vertex is joined to its parent
+        high = [-1] * n
+        jump = list(range(n))
+        for a in reversed(order):
+            h = disc[a]
+            for x in lower_ends[a]:
+                while True:
+                    while jump[x] != x:  # path halving
+                        jump[x] = x = jump[jump[x]]
+                    if disc[x] <= h:
+                        break
+                    high[x] = h
+                    jump[x] = x = parent[x]
+        self.cnt, self.acc, self.high = cnt, acc, high
+
+        cut = bytearray(n)  # the tree edge into v lies in a 2-edge cut
+        links = array("i", [-1]) * n
+        unique_cover: set[int] = set()
+        last: dict[tuple[int, int], int] = {}
+        for v in order[1:]:
+            c = cnt[v]
+            if c == 0:
+                raise PreconditionError(
+                    "input is not twinless strongly connected")
+            if c == 1:
+                cut[v] = 1
+                unique_cover.add(acc[v])
+            key = (c, high[v])
+            u = last.get(key)
+            if u is not None and disc[v] <= tout[u]:
+                cut[u] = cut[v] = 1
+                links[v] = u
+            last[key] = v
+        self.chain = links
+        self.unpaired = [aid for s, t, aid in g.arcs if twin[aid] < 0 and (
+            cut[t] if parent[t] == s else cut[s] if parent[s] == t
+            else aid in unique_cover)]
+
+    def _back_edges(self, arcs, twin: Sequence[int]):
+        """(lower end, upper end, arc id) of each back edge, one arc per
+        twin pair."""
+        parent, disc = self.parent, self.pre
+        for s, t, aid in arcs:
+            if parent[t] == s or parent[s] == t or twin[aid] > aid:
+                continue  # tree edge, or the twin stands for this edge
+            yield (s, t, aid) if disc[s] > disc[t] else (t, s, aid)
+
+    def rings(self, g: Digraph, bridges):
+        """components(U - C) as a class list for each arc of ``bridges``,
+        with C the 2-cut class of its underlying edge; O(n) each, no
+        traversal.
+
+        For an unpaired arc e of a twinless strongly connected graph g
+        that is not a strong bridge, g - e stays strongly connected, so
+        its TSCC classes are the 2-edge-connected classes of U - e, that
+        is components(U - C).  No two such arcs share a class: the other
+        one would be a bridge of U - e that one arc carries.
+
+        Let v_1 (deepest) ... v_k be the lower ends of C's tree edges.
+        U - C falls apart into subtree(v_1), the rings subtree(v_{i+1}) -
+        subtree(v_i) and V - subtree(v_k); with cover count 2 or more the
+        covers of v_1 join subtree(v_1) to the outer part, and with cover
+        count 1 that cover is in C.  Each subtree is an interval of
+        preorder numbers, so a part is read off as how many of the k
+        subtrees hold a vertex.
+        """
+        parent, pre, tout, cnt, links = (self.parent, self.pre, self.tout,
+                                         self.cnt, self.chain)
+        n = len(parent)
+        below = [-1] * n
+        for v, u in enumerate(links):
+            if u >= 0:
+                below[u] = v
+        by_cover = {self.acc[v]: v for v in self.order[1:] if cnt[v] == 1}
+        for e in bridges:
+            s, t, _ = g.arcs[e]
+            v = t if parent[t] == s else s if parent[s] == t else by_cover[e]
+            while links[v] >= 0:
+                v = links[v]
+            inside = [0] * (n + 1)  # +1 where a subtree starts, -1 after
+            k = 0
+            while v >= 0:
+                inside[pre[v]] += 1
+                inside[tout[v] + 1] -= 1
+                k += 1
+                deepest = v
+                v = below[v]
+            depth = list(accumulate(inside))
+            if cnt[deepest] > 1:
+                yield [depth[p] % k for p in pre]
+            else:
+                yield [depth[p] for p in pre]
+
+    def certified(self, g: Digraph, xs) -> list[int]:
+        """The vertices x of ``xs``, ascending and the root left out, for
+        which U - x is 2-edge-connected; O((n + m) log n).
+
+        This is the vertex-edge cut-pair question of Georgiadis and Kosinas
+        ("Linear-time algorithms for computing twinless strong
+        articulation points and related problems", ISAAC 2020).  Notation
+        for x and a child c of x: up(c) are the covers of c whose upper
+        end is not x, lo_c and hi_c the least and largest preorder number
+        of their upper ends; low[q] is the least upper-end preorder number
+        among q's covers; M(q) is the nearest common ancestor of the lower
+        ends of q's covers, and M_c that of the lower ends of up(c).  The
+        tree edges of U - x are those of T - x, and each subtree(c) hangs
+        off the rest by up(c) alone, so U - x is 2-edge-connected iff
+        none of these holds:
+
+        (A) some child c of x has |up(c)| < 2;
+        (B) the tree edge into a descendant q of x below a child c is a
+            bridge: q lies on the path from M_c up to c, c left out, and
+            high[q] <= pre[x] (no cover of q ends inside subtree(c), and
+            the rest of subtree(c) reaches above x only through q's
+            subtree), or low[q] = high[q] = pre[x] (every cover of q ends
+            at x);
+        (C-i) the tree edge into an ancestor q of x is a bridge, with
+            x = M(q) for some q other than the root and x, and no child c
+            has lo_c < pre[q] <= hi_c, so no child subtree joins the parts
+            above and below q;
+        (C-ii) the same with M(q) below a child w of x: some ancestor q of
+            x with hi_w < pre[q] < pre[x] has cnt[q] = |up(w)|, the
+            least cnt on that path, as q's covers include up(w).
+
+        Path minima of high and cnt and the nearest common ancestors come
+        from binary lifting over the tree; the M values from one sweep
+        that removes preorder positions as the upper-end threshold falls.
+        The tables are int arrays, freed on return.
+        """
+        parent, pre, order, tout = self.parent, self.pre, self.order, self.tout
+        cnt, high = self.cnt, self.high
+        n = len(parent)
+        kids: dict[int, list[int]] = {x: [] for x in sorted(xs) if x}
+        for c in order[1:]:
+            if parent[c] in kids:
+                kids[parent[c]].append(c)
+
+        ups: list[list[int]] = [[] for _ in range(n)]  # by lower end
+        downs: list[list[int]] = [[] for _ in range(n)]  # by upper end
+        for d, a, _ in self._back_edges(g.arcs, g._twin):
+            ups[d].append(pre[a])
+            downs[a].append(d)
+        depth = array("i", bytes(4 * n))
+        path = array("i", bytes(4 * n))  # the root path of the vertex in hand
+        to_parent = array("i", bytes(4 * n))  # |covers of c| - |up(c)|
+        low_at = array("i", [n]) * n  # least upper end, by lower end's pre
+        for v in order[1:]:
+            dv = depth[v] = depth[parent[v]] + 1
+            path[dv] = v
+            if ups[v]:
+                low_at[pre[v]] = min(ups[v])
+                for h in ups[v]:
+                    to_parent[path[depth[order[h]] + 1]] += 1
+        low = array("i", (low_at[p] for p in pre))
+        for v in reversed(order[1:]):
+            if low[v] < low[parent[v]]:
+                low[parent[v]] = low[v]
+
+        # hi_c: high with the covers that end at parent(c) left out
+        hi = array("i", [-1]) * n
+        jump = list(range(n))
+        for a in reversed(order):
+            h = pre[a]
+            for x in downs[a]:
+                while True:
+                    while jump[x] != x:
+                        jump[x] = x = jump[jump[x]]
+                    if pre[x] <= h or parent[x] == a:
+                        break
+                    hi[x] = h
+                    jump[x] = x = parent[x]
+        del ups, downs, jump
+
+        # level j holds the 2^j-th ancestor and the least high and cnt over
+        # the 2^j vertices from v up; the root is its own parent
+        anc = [array("i", parent)]
+        anc[0][0] = 0
+        least_high = [array("i", high)]
+        least_cnt = [array("i", cnt)]
+        for _ in range(1, max(1, (n - 1).bit_length())):
+            a = anc[-1]
+            anc.append(array("i", [a[w] for w in a]))
+            for table in (least_high, least_cnt):
+                t = table[-1]
+                table.append(array("i", [x if x < y else y for x, y in
+                                         zip(t, [t[w] for w in a])]))
+
+        def path_min(table, v: int, length: int) -> int:
+            """Least table value over ``length`` vertices from v up."""
+            best = table[0][v]
+            j = 0
+            while length:
+                if length & 1:
+                    if table[j][v] < best:
+                        best = table[j][v]
+                    v = anc[j][v]
+                length >>= 1
+                j += 1
+            return best
+
+        def nca(u: int, v: int) -> int:
+            """Nearest common ancestor of u and v, pre[u] <= pre[v]."""
+            if pre[v] <= tout[u]:
+                return u
+            for a in reversed(anc):
+                w = a[u]
+                if not pre[w] <= pre[v] <= tout[w]:
+                    u = w
+            return parent[u]
+
+        def find(links, i: int) -> int:
+            while links[i] != i:
+                links[i] = i = links[links[i]]
+            return i
+
+        # position p is live while low_at[p] < t: then the vertex there is
+        # the lower end of a back edge reaching above preorder number t
+        nxt = list(range(n + 1))  # next live position; n stays live
+        prv = list(range(n + 1))  # prv[p + 1]: previous live; 0 stays live
+        by_low: list[list[int]] = [[] for _ in range(n + 1)]
+        for p, h in enumerate(low_at):
+            by_low[h].append(p)
+        m_of = array("i", bytes(4 * n))  # M(q)
+        m_up = {}  # M_c for the children c of the vertices in xs
+        for t in range(n, 0, -1):
+            for p in by_low[t]:
+                nxt[p] = p + 1
+                prv[p + 1] = p
+            if t == n:
+                continue
+            q = order[t]
+            m_of[q] = nca(order[find(nxt, t)],
+                          order[find(prv, tout[q] + 1) - 1])
+            for c in kids.get(q, ()):
+                first = find(nxt, pre[c])
+                if first <= tout[c]:
+                    m_up[c] = nca(order[first],
+                                  order[find(prv, tout[c] + 1) - 1])
+
+        bad = bytearray(n)
+        for q in order[1:]:  # (B), second clause
+            if low[q] == high[q] and parent[q] != order[high[q]]:
+                bad[order[high[q]]] = 1
+        for x, cs in kids.items():
+            for c in cs:
+                size = cnt[c] - to_parent[c]  # |up(c)|
+                if size < 2:  # (A)
+                    bad[x] = 1
+                    break
+                m = m_up[c]
+                length = depth[m] - depth[c]
+                if length and path_min(least_high, m, length) <= pre[x]:
+                    bad[x] = 1  # (B), first clause
+                    break
+                length = depth[x] - depth[order[hi[c]]] - 1
+                if length > 0 and \
+                        path_min(least_cnt, parent[x], length) == size:
+                    bad[x] = 1  # (C-ii)
+                    break
+        asked: dict[int, list[int]] = {}
+        for q in order[1:]:
+            x = m_of[q]
+            if x != q and x in kids and not bad[x]:
+                asked.setdefault(x, []).append(pre[q])
+        for x, qs in asked.items():  # (C-i)
+            starts: list[int] = []
+            ends: list[int] = []
+            for lo, h in sorted((low[c], hi[c]) for c in kids[x]):
+                if ends and lo <= ends[-1]:
+                    if h > ends[-1]:
+                        ends[-1] = h
+                else:
+                    starts.append(lo)
+                    ends.append(h)
+            for pq in qs:
+                i = bisect_left(starts, pq) - 1
+                if i < 0 or pq > ends[i]:
+                    bad[x] = 1
+                    break
+        return [x for x in kids if not bad[x]]
+
+
+def _unpaired_two_cut_arcs(g: Digraph, twin: Sequence[int]) -> list[int]:
+    """Arc ids of the unpaired arcs whose underlying edge lies in a 2-edge
+    cut; raises PreconditionError when the underlying graph has a bridge."""
+    return _CutTree(g, twin).unpaired
 
 
 @dataclass(frozen=True)
@@ -352,10 +635,10 @@ class BridgeReport:
 def _bridge_report(g: Digraph) -> tuple[BridgeReport, _Separations]:
     """``bridge_report(g)`` with the ``_Separations`` it was read from."""
     seps = _Separations(g, "input is not twinless strongly connected")
-    two_cut = _unpaired_two_cut_arcs(g, g._twin)
+    seps.cut_tree = _CutTree(g, g._twin)
     # the sets come after the 2-cut pass, a bridge report's memory peak
     strong = seps.strong_bridges()
-    return BridgeReport(strong, strong.union(two_cut)), seps
+    return BridgeReport(strong, strong.union(seps.cut_tree.unpaired)), seps
 
 
 def bridge_report(g: Digraph, threads: int = 1) -> BridgeReport:
