@@ -13,19 +13,22 @@ bridge search builds, the set X_e each strong bridge e cuts off from the
 SCC of vertex 0; a Tarjan pass over G[X_e] - e gives the rest of the SCC
 split of G - e, and a twinless bridge that is not strong leaves G - e
 strongly connected.  The 2-edge blocks meet these splits directly.  The
-twinless variant reads most of its splits off the DFS tree of the
+twinless variant reads most of its splits off the DFS tree T of the
 underlying graph U that the bridge report's 2-cut pass keeps: a twinless
 bridge that is not strong gets the preorder rings of its 2-cut class in
-O(n), and the strong bridges that cut off one vertex x with U - x
-2-edge-connected are met as one split, from a certificate built once per
-graph in O((n + m) log n) when at least ceil(log2 n) vertices are cut off
-alone.  Only the other splits run an undirected low-link pass, over a
-neighbour list built once per graph, skipping a strong bridge whose split
-repeats an earlier one.  Full undirected passes therefore number only
-these fallbacks, plus O(sum of |G[X_e]|) local work; that sum is
-quadratic on a directed cycle, which costs ``alg1`` (no all-singleton
-stop) O(n^2) there.  A split stays a plain class list up to the meet,
-which zips it with the running class ids into one O(n) ``Partition``.
+O(n), and a strong bridge whose X_e leaves U - X_e 2-edge-connected keeps
+V - X_e one class, so a low-link pass over X_e alone finishes its split.
+That is so when X_e = V - {0}, and when a certificate built once per graph
+says so for an X_e that is a connected subtree of T; it costs
+O((n + m) log n) and is built only when at least ceil(log2 n) distinct
+X_e other than V - {0} reach it.  Only the other splits run a full
+undirected low-link pass, over a neighbour list built once per graph,
+skipping a strong bridge whose split repeats an earlier one.  Full
+undirected passes therefore number only these fallbacks, plus
+O(sum of |G[X_e]|) local work, which is quadratic on nested cuts such as
+a directed cycle; every algorithm stops once no later split can change
+its result.  A split stays a plain class list up to the meet, which zips
+it with the running class ids into one O(n) ``Partition``.
 
 Two algorithms are provided for the twinless variant.  The matrix
 transcription (``tetb_alg1_matrix``) marks separated pairs in an n-by-n
@@ -76,16 +79,21 @@ class SeparationMatrix:
     def entry(self, v: int, w: int) -> bool:
         return bool(self.rows[v] >> w & 1)
 
-    def separate_across(self, p: Partition) -> None:
-        """Clear every pair that lands in distinct classes of p."""
+    def separate_across(self, p: Partition) -> bool:
+        """Clear every pair that lands in distinct classes of p; return
+        whether some pair of distinct vertices is still unseparated."""
         if p.n != self.n:
             raise GraphError(f"universe mismatch: {p.n} != {self.n}")
         masks = [0] * p.num_classes
         for v in range(self.n):
             masks[p.class_of[v]] |= 1 << v
         rows = self.rows
+        left = False
         for v in range(self.n):
-            rows[v] &= masks[p.class_of[v]]
+            row = rows[v] = rows[v] & masks[p.class_of[v]]
+            if not left and row & (row - 1):  # a bit besides v's own
+                left = True
+        return left
 
     def assert_symmetric(self) -> None:
         rows = self.rows
@@ -181,78 +189,108 @@ class BlockSet:
         return f"BlockSet({sorted(sorted(b) for b in self.blocks)})"
 
 
-def _scc_splits(g: Digraph, seps: _Separations, bridges):
-    """``(e, SCC classes of g - e)`` for the arcs e of ``bridges`` in id
-    order, with no whole-graph pass, skipping a strong bridge whose split
-    was already yielded.
+def _scc_splits(g: Digraph, cuts):
+    """``(e, X_e, SCC classes of g - e)`` for the ``(e, X_e)`` pairs of
+    ``cuts``, strong bridges e in any order, with no whole-graph pass,
+    skipping a split already yielded.
 
-    For a strong bridge the classes are 0 on V - X_e and the SCCs of
-    G[X_e] - e from 1 on; for any other arc they are all 0, since g - e
-    stays strongly connected.  The skip is exact for the SCC and the TSCC
-    meets alike: the ends of a strong bridge lie in different SCCs of
-    g - e, so TSCC(g - e) depends on SCC(g - e) alone, and a meet is
-    idempotent.  A split that cuts off one vertex x is fixed by x, so it
-    is recorded as a flag on x and checked before the split is computed;
-    a larger one by its canonical form, X_e ascending and then its classes
-    numbered by first occurrence.  Both go with the generator.
+    The classes are 0 on V - X_e and the SCCs of G[X_e] - e from 1 on.
+    The skip is exact for the SCC and the TSCC meets alike: the ends of a
+    strong bridge lie in different SCCs of g - e, so TSCC(g - e) depends
+    on SCC(g - e) alone, and a meet is idempotent.  A split that cuts off
+    one vertex x is fixed by x, so it is recorded as a flag on x and
+    checked before the split is computed; a larger one by its canonical
+    form, X_e ascending and then its classes numbered by first
+    occurrence.  Both go with the generator.
     """
-    zero = [0] * g.n
     alone = bytearray(g.n)
     seen: set[tuple[int, ...]] = set()
-    for e in sorted(bridges):
-        cut = seps.cut_off(e)
-        if not cut:
-            yield e, zero
-            continue
+    for e, cut in cuts:
         if len(cut) == 1:
             if alone[cut[0]]:
                 continue
             alone[cut[0]] = 1
-            scc_of = _split_class_of(g, cut, e)
-        else:
-            scc_of = _split_class_of(g, cut, e)
+        scc_of = _split_class_of(g, cut, e)
+        if len(cut) > 1:
             key = (*cut, *Partition([scc_of[x] for x in cut]).class_of)
             if key in seen:
                 continue
             seen.add(key)
-        yield e, scc_of
+        yield e, cut, scc_of
 
 
 def _tscc_stream(g: Digraph, seps: _Separations, bridges):
     """TSCC classes of g minus each bridge, met in any order, from the DFS
-    tree of the underlying graph U that the bridge report kept.
+    tree T of the underlying graph U that the bridge report kept.
 
     * A twinless bridge that is not a strong bridge gets the preorder
       rings of its 2-cut class of U, read off the tree with no traversal.
-    * A strong bridge that cuts off one vertex x splits g into {x} and the
-      2-edge-connected classes of U - x.  When the certificate says U - x
-      is 2-edge-connected, the split is x alone; all such x are met in one
-      split.  The certificate costs O((n + m) log n), about as much as
-      log n kernel passes, so it is built only when at least ceil(log2 n)
-      vertices are cut off alone.
-    * Every other split is a fallback: the SCC split of ``_scc_splits``,
-      then one low-link kernel pass over a neighbour list built once here.
+    * A strong bridge e splits g into V - X_e, cut by the 2-edge-connected
+      classes of U - X_e, and the TSCCs of G[X_e] - e.  When U - X_e is
+      2-edge-connected, V - X_e stays one class and the split is local:
+      the SCC split of ``_scc_splits``, then a low-link pass over X_e
+      alone, skipped when every SCC there is one vertex.  That holds for
+      X_e = V - {0}, and for the other X_e that ``_CutTree.certified``
+      passes: connected subtrees of T whose contracted vertex passes the
+      U - x rule.  The certified splits whose SCCs inside X_e are single
+      vertices, every one-vertex cut among them, are met as one split,
+      each such vertex alone.  The certificate costs O((n + m) log n),
+      about as much as log n kernel passes, so it is built only when at
+      least ceil(log2 n) distinct X_e other than V - {0} reach it.
+    * Every other split is a fallback: the SCC split, then one full
+      low-link kernel pass.
+
+    The cuts X_e = V - {0} come first, as the strong bridges are met in id
+    order, so a meet that stops early never enumerates the other X_e.  One
+    neighbour list serves the kernel passes, built at the first; one that
+    a cut of V - {0} needed is dropped while the certificate is built.
     """
     if not bridges:
         return
+    n = g.n
     tree = seps.cut_tree
     yield from tree.rings(g, sorted(e for e in bridges if not seps.side[e]))
-    alone = {e: seps.alone(e) for e in sorted(bridges) if seps.side[e]}
-    xs = set(alone.values())
-    xs.discard(-1)
-    certified: set[int] = set()
-    if len(xs) >= (g.n - 1).bit_length():
-        certified = set(tree.certified(g, xs))
-    if certified:
-        class_of = [0] * g.n
-        for i, x in enumerate(certified, 1):
+    nbrs: list = []  # one neighbour list, built at the first kernel pass
+    groups: dict[tuple[int, ...], list[int]] = {}  # X_e -> its bridges
+
+    def kernel(scc_of, e, *roots):
+        if not nbrs:
+            nbrs.extend(_neighbours(g))
+        return _low_link_class_of(nbrs, scc_of, e, *roots)
+
+    def whole():
+        """The bridges that cut off V - {0}, as met; the others are
+        grouped by X_e on the way."""
+        for e in sorted(bridges):
+            if seps.side[e]:
+                cut = seps.cut_off(e)
+                if len(cut) == n - 1:
+                    yield e, cut
+                else:
+                    groups.setdefault(tuple(cut), []).append(e)
+
+    for e, cut, scc_of in _scc_splits(g, whole()):
+        # U - X_e is vertex 0 alone; a pass over X_e leaves it class -1
+        yield scc_of if max(scc_of) == n - 1 else kernel(scc_of, e, cut)
+    ok: set[tuple[int, ...]] = set()
+    if len(groups) >= (n - 1).bit_length():
+        nbrs.clear()  # rebuilt if needed, not held beside the tables
+        ok = set(tree.certified(g, groups))
+    apart = [cut[0] for cut in groups if len(cut) == 1 and cut in ok]
+    rest = ((e, cut) for cut, es in groups.items()
+            if len(cut) > 1 or cut not in ok for e in es)
+    for e, cut, scc_of in _scc_splits(g, rest):
+        if cut not in ok:
+            yield kernel(scc_of, e)
+        elif max(scc_of) < len(cut):
+            yield kernel(scc_of, e, cut)
+        else:  # every vertex of X_e is an SCC of its own
+            apart += cut
+    if apart:
+        class_of = [0] * n
+        for i, x in enumerate(apart, 1):
             class_of[x] = i
         yield class_of
-    rest = [e for e, x in alone.items() if x not in certified]
-    if rest:  # no neighbour list when nothing falls back
-        nbrs = _neighbours(g)
-        for e, scc_of in _scc_splits(g, seps, rest):
-            yield _low_link_class_of(nbrs, scc_of, e)
 
 
 def _meet(part: Partition, class_lists) -> Partition:
@@ -270,9 +308,10 @@ def _meet(part: Partition, class_lists) -> Partition:
 def _two_edge_block_partition(g: Digraph, seps: _Separations) -> Partition:
     """2-edge blocks as a partition, non-block vertices as singletons: the
     meet of the SCC splits of the strong bridges in ``seps``."""
-    splits = _scc_splits(g, seps, seps.strong_bridges())
+    splits = _scc_splits(g, ((e, seps.cut_off(e))
+                             for e in sorted(seps.strong_bridges())))
     return _meet(Partition.single_class(g.n),
-                 (scc_of for _e, scc_of in splits))
+                 (scc_of for _e, _cut, scc_of in splits))
 
 
 def two_edge_blocks(g: Digraph, threads: int = 1) -> BlockSet:
@@ -293,8 +332,9 @@ def tetb_alg1_matrix(g: Digraph, threads: int = 1) -> BlockSet:
     twinless strongly connected components of the reduced graph is marked
     separated; blocks are the size->=2 components of the never-separated
     pair graph.  Rows are machine-word bitsets, so the marking pass costs
-    O(n^2 / wordsize) per bridge.  The budget refusal comes before the
-    precondition check in ``bridge_report``.
+    O(n^2 / wordsize) per bridge; it stops once no pair of distinct
+    vertices is left, which no later bridge could change.  The budget
+    refusal comes before the precondition check in ``bridge_report``.
     """
     if g.n > MATRIX_VERTEX_BUDGET:
         raise BudgetError(
@@ -305,7 +345,8 @@ def tetb_alg1_matrix(g: Digraph, threads: int = 1) -> BlockSet:
         return BlockSet.from_partition(Partition.single_class(g.n))
     matrix = SeparationMatrix(g.n)
     for class_of in _tscc_stream(g, seps, rep.twinless_bridges):
-        matrix.separate_across(Partition(class_of))
+        if not matrix.separate_across(Partition(class_of)):
+            break  # no pair left to separate
     return BlockSet(frozenset(matrix.never_separated_components()))
 
 

@@ -129,7 +129,8 @@ def _neighbours(g: Digraph) -> list[list[tuple[int, int]]]:
     return [[*o, *i] for o, i in zip(g.out_pairs, g.in_pairs)]
 
 
-def _low_link_class_of(nbrs, scc_of: list[int], skip: int = -1) -> list[int]:
+def _low_link_class_of(nbrs, scc_of: list[int], skip: int = -1,
+                       roots=None) -> list[int]:
     """2-edge-connected classes of the underlying graph inside each class
     of ``scc_of``, minus the ``skip`` arc; O(n + m).
 
@@ -139,7 +140,9 @@ def _low_link_class_of(nbrs, scc_of: list[int], skip: int = -1) -> list[int]:
     DFS parent skips exactly the tree edge, antiparallel pair included.
     The edge into v is a bridge iff low[v] == disc[v], which closes v's
     class.  With ``scc_of`` the SCC classes of g minus ``skip``, the result
-    is the TSCC classes of g minus ``skip``.
+    is the TSCC classes of g minus ``skip``.  With ``roots``, the walk
+    covers only the classes of those vertices (after O(n) list set-up),
+    and every other vertex keeps class -1.
     """
     n = len(nbrs)
     disc = [-1] * n
@@ -148,7 +151,7 @@ def _low_link_class_of(nbrs, scc_of: list[int], skip: int = -1) -> list[int]:
     stack: list[int] = []
     timer = 0
     comp = 0
-    for root in range(n):
+    for root in range(n) if roots is None else roots:
         if disc[root] != -1:
             continue
         disc[root] = low[root] = timer

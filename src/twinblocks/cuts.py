@@ -36,11 +36,12 @@ vertex 0; ``blocks`` reads its per-bridge SCC splits from them instead of
 running Tarjan's algorithm once per bridge.  A bridge report keeps the DFS
 tree of its 2-cut pass there too (``_CutTree``), and ``blocks`` reads from
 it the TSCC split of each twinless bridge that is not strong (the preorder
-rings of its 2-cut class, O(n) each) and which single cut-off vertices x
-leave U - x 2-edge-connected (a certificate in O((n + m) log n), which
-only the block algorithms build, and only when at least ceil(log2 n)
-vertices are cut off alone); only the other splits take a full low-link
-pass.
+rings of its 2-cut class, O(n) each) and which cut-off sets X that are
+connected subtrees of that tree leave U - X 2-edge-connected (a
+certificate in O((n + m) log n) plus O((|X| + children) log n) per set,
+read at the vertex X contracts to; only the block algorithms build it,
+and only when at least ceil(log2 n) distinct sets other than V - {0}
+reach it); only the other splits take a full low-link pass.
 
 Arc identity (arc_id), not the endpoint pair, names a bridge; that stays
 unambiguous under antiparallel pairs.
@@ -218,16 +219,6 @@ class _Separations:
 
     def strong_bridges(self) -> frozenset[int]:
         return frozenset(compress(count(), self.side))
-
-    def alone(self, e: int) -> int:
-        """The one vertex of X_e, or -1 when X_e is empty or larger."""
-        side = self.side[e]
-        if side == 1 or side == 2:
-            u, v, _ = self.arcs[e]
-            w = v if side == 1 else u
-            if self.trees[side - 1][2][w] == 1:  # dominator subtree size
-                return w
-        return -1
 
     def cut_off(self, e: int) -> list[int]:
         """X_e in ascending order; empty when e is not a strong bridge."""
@@ -421,85 +412,122 @@ class _CutTree:
             else:
                 yield [depth[p] for p in pre]
 
-    def certified(self, g: Digraph, xs) -> list[int]:
-        """The vertices x of ``xs``, ascending and the root left out, for
-        which U - x is 2-edge-connected; O((n + m) log n).
+    def certified(self, g: Digraph, cuts) -> list:
+        """The cuts X of ``cuts`` (a vertex x stands for {x}), in order,
+        that are connected subtrees of the DFS tree T, the root left out,
+        and leave U - X 2-edge-connected; O((n + m) log n) once, plus
+        O((|X| + children) log n) per cut.
 
-        This is the vertex-edge cut-pair question of Georgiadis and Kosinas
-        ("Linear-time algorithms for computing twinless strong
-        articulation points and related problems", ISAAC 2020).  Notation
-        for x and a child c of x: up(c) are the covers of c whose upper
-        end is not x, lo_c and hi_c the least and largest preorder number
-        of their upper ends; low[q] is the least upper-end preorder number
-        among q's covers; M(q) is the nearest common ancestor of the lower
-        ends of q's covers, and M_c that of the lower ends of up(c).  The
-        tree edges of U - x are those of T - x, and each subtree(c) hangs
-        off the rest by up(c) alone, so U - x is 2-edge-connected iff
+        X is a connected subtree when exactly one member, its top r, has
+        its parent outside X.  Contracting X to one vertex x* turns U into
+        U/X, parallel edges kept, and T into a DFS tree T/X of it, since
+        every non-tree edge still joins an ancestor and a descendant.  The
+        children of x* are the children of members that lie outside X, and
+        U - X = (U/X) - x*.  So the question is the vertex-edge cut-pair
+        rule of Georgiadis and Kosinas ("Linear-time algorithms for
+        computing twinless strong articulation points and related
+        problems", ISAAC 2020) at x*, read on T.  Notation for a child c of
+        x*: up(c) are the back edges from subtree(c) that end above r, lo_c
+        and hi_c the least and largest preorder number of their upper ends;
+        low[q] is the least upper-end preorder number among q's covers;
+        M(q) is the nearest common ancestor of the lower ends of q's
+        covers, and M(q) = x* iff M(q) lies in X; M_c is that of the lower
+        ends of up(c).  An ancestor q of r keeps its covers, so cnt[q].
+        The tree edges of U - X are those of T/X - x*, and each subtree(c)
+        hangs off the rest by up(c) alone, so U - X is 2-edge-connected iff
         none of these holds:
 
-        (A) some child c of x has |up(c)| < 2;
-        (B) the tree edge into a descendant q of x below a child c is a
-            bridge: q lies on the path from M_c up to c, c left out, and
-            high[q] <= pre[x] (no cover of q ends inside subtree(c), and
-            the rest of subtree(c) reaches above x only through q's
-            subtree), or low[q] = high[q] = pre[x] (every cover of q ends
-            at x);
-        (C-i) the tree edge into an ancestor q of x is a bridge, with
-            x = M(q) for some q other than the root and x, and no child c
-            has lo_c < pre[q] <= hi_c, so no child subtree joins the parts
-            above and below q;
-        (C-ii) the same with M(q) below a child w of x: some ancestor q of
-            x with hi_w < pre[q] < pre[x] has cnt[q] = |up(w)|, the
-            least cnt on that path, as q's covers include up(w).
+        (A) some child c of x* has |up(c)| < 2;
+        (B) the tree edge into a descendant q of a child c, q != c, is a
+            bridge: q lies on the path from M_c up to c and high[q] <
+            pre[c] (no cover of q ends inside subtree(c), and the rest of
+            subtree(c) reaches above r only through q's subtree), or every
+            cover of q ends in X (pre[r] <= low[q], high[q] < pre[c]);
+        (C-i) the tree edge into an ancestor q of r is a bridge, with M(q)
+            in X for some q other than the root, and no child c has lo_c <
+            pre[q] <= hi_c, so no child subtree joins the parts above and
+            below q;
+        (C-ii) the same with M(q) below a child w of x*: some ancestor q of
+            r with hi_w < pre[q] < pre[r] has cnt[q] = |up(w)|, the least
+            cnt on that path, as q's covers include up(w).
 
-        Path minima of high and cnt and the nearest common ancestors come
-        from binary lifting over the tree; the M values from one sweep
-        that removes preorder positions as the upper-end threshold falls.
-        The tables are int arrays, freed on return.
+        For X = {x}, r = x and this is the rule for U - x.  |up(c)|, hi_c
+        and M_c come from a merge-sort tree over the preorder positions of
+        the lower ends, at threshold pre[r]; path minima of high and cnt
+        and nearest common ancestors from binary lifting; M(q) from one
+        sweep that removes preorder positions as the threshold falls; the
+        second clause of (B) from the largest low[q] over the q below c
+        with high[q] < pre[c], one union-find pass.  (C-i) visits the q
+        with M(q) in X.  The tables are int arrays, freed on return.
         """
         parent, pre, order, tout = self.parent, self.pre, self.order, self.tout
         cnt, high = self.cnt, self.high
         n = len(parent)
-        kids: dict[int, list[int]] = {x: [] for x in sorted(xs) if x}
-        for c in order[1:]:
-            if parent[c] in kids:
-                kids[parent[c]].append(c)
-
-        ups: list[list[int]] = [[] for _ in range(n)]  # by lower end
-        downs: list[list[int]] = [[] for _ in range(n)]  # by upper end
+        ups: list[list[int]] = [[] for _ in range(n)]  # by lower end's pre
         for d, a, _ in self._back_edges(g.arcs, g._twin):
-            ups[d].append(pre[a])
-            downs[a].append(d)
-        depth = array("i", bytes(4 * n))
-        path = array("i", bytes(4 * n))  # the root path of the vertex in hand
-        to_parent = array("i", bytes(4 * n))  # |covers of c| - |up(c)|
-        low_at = array("i", [n]) * n  # least upper end, by lower end's pre
-        for v in order[1:]:
-            dv = depth[v] = depth[parent[v]] + 1
-            path[dv] = v
-            if ups[v]:
-                low_at[pre[v]] = min(ups[v])
-                for h in ups[v]:
-                    to_parent[path[depth[order[h]] + 1]] += 1
+            ups[pre[d]].append(pre[a])
+        low_at = array("i", (min(h, default=n) for h in ups))
         low = array("i", (low_at[p] for p in pre))
+        depth = array("i", bytes(4 * n))
+        for v in order[1:]:
+            depth[v] = depth[parent[v]] + 1
         for v in reversed(order[1:]):
             if low[v] < low[parent[v]]:
                 low[parent[v]] = low[v]
 
-        # hi_c: high with the covers that end at parent(c) left out
-        hi = array("i", [-1]) * n
-        jump = list(range(n))
-        for a in reversed(order):
-            h = pre[a]
-            for x in downs[a]:
-                while True:
-                    while jump[x] != x:
-                        jump[x] = x = jump[jump[x]]
-                    if pre[x] <= h or parent[x] == a:
-                        break
-                    hi[x] = h
-                    jump[x] = x = parent[x]
-        del ups, downs, jump
+        # merge-sort tree: level j holds, block by block of 2^j positions,
+        # the sorted upper ends of the back edges whose lower ends are there;
+        # block b spans start[b << j] to start[(b + 1) << j]
+        start = array("i", accumulate(map(len, ups), initial=0))
+        levels = [array("i", chain.from_iterable(sorted(h) for h in ups))]
+        del ups
+        width = 1
+        while width < n:
+            below = levels[-1]
+            width *= 2
+            level = array("i")
+            for s in range(0, n, width):
+                level.extend(sorted(below[start[s]:start[min(s + width, n)]]))
+            levels.append(level)
+
+        def up_edges(c: int, t: int) -> tuple[int, int, int]:
+            """The back edges from subtree(c) that end above preorder
+            number t: how many, the largest upper end and the nearest
+            common ancestor of the lower ends (-1 and -1 if none)."""
+            size, top = 0, -1
+            lo, hi, j = pre[c], tout[c] + 1, 0
+            left: list[tuple[int, int]] = []
+            right: list[tuple[int, int]] = []
+            while lo < hi:
+                if lo & 1:
+                    left.append((j, lo))
+                    lo += 1
+                if hi & 1:
+                    hi -= 1
+                    right.append((j, hi))
+                lo >>= 1
+                hi >>= 1
+                j += 1
+            live = []  # blocks with such a back edge, by position
+            for j, b in left + right[::-1]:
+                level, s = levels[j], start[b << j]
+                k = bisect_left(level, t, s, start[(b + 1) << j])
+                if k > s:
+                    size += k - s
+                    top = max(top, level[k - 1])
+                    live.append((j, b))
+            if not live:
+                return 0, -1, -1
+            ends = []
+            for (j, b), side in ((live[0], 0), (live[-1], 1)):
+                while j:  # into the child on this side if it has one
+                    j -= 1
+                    b = 2 * b + side
+                    s = start[b << j]
+                    if not (s < start[(b + 1) << j] and levels[j][s] < t):
+                        b ^= 1
+                ends.append(order[b])
+            return size, top, nca(*ends)
 
         # level j holds the 2^j-th ancestor and the least high and cnt over
         # the 2^j vertices from v up; the root is its own parent
@@ -543,77 +571,95 @@ class _CutTree:
                 links[i] = i = links[links[i]]
             return i
 
-        # position p is live while low_at[p] < t: then the vertex there is
-        # the lower end of a back edge reaching above preorder number t
-        nxt = list(range(n + 1))  # next live position; n stays live
-        prv = list(range(n + 1))  # prv[p + 1]: previous live; 0 stays live
-        by_low: list[list[int]] = [[] for _ in range(n + 1)]
-        for p, h in enumerate(low_at):
-            by_low[h].append(p)
-        m_of = array("i", bytes(4 * n))  # M(q)
-        m_up = {}  # M_c for the children c of the vertices in xs
-        for t in range(n, 0, -1):
-            for p in by_low[t]:
+        # M(q) from one sweep: position p is live while low_at[p] < t, then
+        # the vertex there is the lower end of a back edge reaching above
+        # preorder number t; the q with M(q) = y are listed from first_q[y]
+        nxt = array("i", range(n + 1))  # next live position; n stays live
+        prv = array("i", range(n + 1))  # prv[p + 1]: previous live
+        dying = sorted(range(n), key=low_at.__getitem__)
+        first_q = array("i", [-1]) * n
+        next_q = array("i", [-1]) * n
+        for t in range(n - 1, 0, -1):
+            while dying and low_at[dying[-1]] >= t:
+                p = dying.pop()
                 nxt[p] = p + 1
                 prv[p + 1] = p
-            if t == n:
-                continue
             q = order[t]
-            m_of[q] = nca(order[find(nxt, t)],
-                          order[find(prv, tout[q] + 1) - 1])
-            for c in kids.get(q, ()):
-                first = find(nxt, pre[c])
-                if first <= tout[c]:
-                    m_up[c] = nca(order[first],
-                                  order[find(prv, tout[c] + 1) - 1])
+            m = nca(order[find(nxt, t)], order[find(prv, tout[q] + 1) - 1])
+            next_q[q] = first_q[m]
+            first_q[m] = q
+        del nxt, prv, dying
 
-        bad = bytearray(n)
-        for q in order[1:]:  # (B), second clause
-            if low[q] == high[q] and parent[q] != order[high[q]]:
-                bad[order[high[q]]] = 1
-        for x, cs in kids.items():
-            for c in cs:
-                size = cnt[c] - to_parent[c]  # |up(c)|
-                if size < 2:  # (A)
-                    bad[x] = 1
+        # reach[c]: the largest low[q] over the q below c whose covers all
+        # end above c (high[q] < pre[c]); q in decreasing low labels the
+        # unlabelled vertices from parent(q) up to the child of its high
+        reach = array("i", [-1]) * n
+        jump = array("i", range(n))
+        for q in sorted(order[1:], key=low.__getitem__, reverse=True):
+            x = parent[q]
+            while True:
+                x = find(jump, x)
+                if pre[x] <= high[q]:
                     break
-                m = m_up[c]
-                length = depth[m] - depth[c]
-                if length and path_min(least_high, m, length) <= pre[x]:
-                    bad[x] = 1  # (B), first clause
-                    break
-                length = depth[x] - depth[order[hi[c]]] - 1
-                if length > 0 and \
-                        path_min(least_cnt, parent[x], length) == size:
-                    bad[x] = 1  # (C-ii)
-                    break
-        asked: dict[int, list[int]] = {}
-        for q in order[1:]:
-            x = m_of[q]
-            if x != q and x in kids and not bad[x]:
-                asked.setdefault(x, []).append(pre[q])
-        for x, qs in asked.items():  # (C-i)
-            starts: list[int] = []
+                reach[x] = low[q]
+                jump[x] = x = parent[x]
+        del jump
+
+        mark = bytearray(n)  # the members of the cut in hand
+
+        def passes(members, r: int) -> bool:
+            """None of (A), (B), (C-i), (C-ii) holds at x* for X with top
+            r, its members marked."""
+            t = pre[r]
+            spans = []  # (lo_c, hi_c) per child c of x*
+            for y in members:
+                p = pre[y] + 1
+                while p <= tout[y]:  # the children of y, in preorder
+                    c = order[p]
+                    p = tout[c] + 1
+                    if mark[c]:
+                        continue
+                    size, hi, m = up_edges(c, t)
+                    if size < 2 or reach[c] >= t:
+                        return False  # (A); (B), second clause
+                    length = depth[m] - depth[c]
+                    if length and path_min(least_high, m, length) < pre[c]:
+                        return False  # (B), first clause
+                    length = depth[r] - depth[order[hi]] - 1
+                    if length > 0 and \
+                            path_min(least_cnt, parent[r], length) == size:
+                        return False  # (C-ii)
+                    spans.append((low[c], hi))
+            starts: list[int] = []  # the spans merged
             ends: list[int] = []
-            for lo, h in sorted((low[c], hi[c]) for c in kids[x]):
+            for lo, h in sorted(spans):
                 if ends and lo <= ends[-1]:
-                    if h > ends[-1]:
-                        ends[-1] = h
+                    ends[-1] = max(ends[-1], h)
                 else:
                     starts.append(lo)
                     ends.append(h)
-            for pq in qs:
-                i = bisect_left(starts, pq) - 1
-                if i < 0 or pq > ends[i]:
-                    bad[x] = 1
-                    break
-        return [x for x in kids if not bad[x]]
+            for y in members:  # (C-i)
+                q = first_q[y]
+                while q >= 0:
+                    if not mark[q]:
+                        i = bisect_left(starts, pre[q]) - 1
+                        if i < 0 or pre[q] > ends[i]:
+                            return False
+                    q = next_q[q]
+            return True
 
-
-def _unpaired_two_cut_arcs(g: Digraph, twin: Sequence[int]) -> list[int]:
-    """Arc ids of the unpaired arcs whose underlying edge lies in a 2-edge
-    cut; raises PreconditionError when the underlying graph has a bridge."""
-    return _CutTree(g, twin).unpaired
+        out = []
+        for cut in cuts:
+            members = (cut,) if isinstance(cut, int) else cut
+            for y in members:
+                mark[y] = 1
+            tops = [] if mark[0] else [y for y in members
+                                       if not mark[parent[y]]]
+            if len(tops) == 1 and passes(members, tops[0]):
+                out.append(cut)
+            for y in members:
+                mark[y] = 0
+        return out
 
 
 @dataclass(frozen=True)

@@ -258,12 +258,21 @@ def test_localized_stream_equals_full_passes():
             assert seps.strong_bridges() == rep.strong_bridges
             nbrs = _neighbours(sub)
             splits = {}
-            for e, scc_of in _scc_splits(sub, seps, rep.twinless_bridges):
+            cuts = ((e, seps.cut_off(e)) for e in sorted(rep.strong_bridges))
+            for e, _cut, scc_of in _scc_splits(sub, cuts):
                 splits[e] = Partition(scc_of)
                 assert splits[e] == Partition(_scc_class_of(sub, e))
                 assert _low_link_class_of(nbrs, scc_of, e) == \
                     _tscc_class_of(sub, e)
-            assert rep.twinless_bridges - rep.strong_bridges <= splits.keys()
+            # the ring splits cover exactly the twinless bridges that are
+            # not strong, each with its full TSCC pass
+            non_strong = sorted(rep.twinless_bridges - rep.strong_bridges)
+            assert non_strong == sorted(
+                e for e in rep.twinless_bridges if not seps.side[e])
+            for e, ring in zip(non_strong,
+                               seps.cut_tree.rings(sub, non_strong),
+                               strict=True):
+                assert Partition(ring) == Partition(_tscc_class_of(sub, e))
             # a strong bridge is skipped iff a lower one has its SCC split,
             # and then it has that one's TSCC split too
             first = {}
@@ -302,6 +311,28 @@ def test_alg2_stops_once_all_singletons(g, monkeypatch):
     passed.clear()
     assert two_edge_blocks(g) == BlockSet(frozenset())
     assert len(set(passed)) <= 1
+
+
+@pytest.mark.parametrize("g, whole", [(cycle(9), 1), (path_fan(13), 2)],
+                         ids=["cycle", "path-fan"])
+def test_alg1_stops_once_no_pair_is_left(g, whole, monkeypatch):
+    pulled = []  # every split a block algorithm takes from the stream
+    stream = blocks_mod._tscc_stream
+
+    def counted(*args):
+        for class_of in stream(*args):
+            pulled.append(class_of)
+            yield class_of
+
+    monkeypatch.setattr(blocks_mod, "_tscc_stream", counted)
+    rep, seps = _bridge_report(g)
+    assert len(list(stream(g, seps, rep.twinless_bridges))) == whole
+    expected = oracle_two_edge_twinless_blocks(g)
+    assert tetb_alg2_refine(g, "safe") == expected
+    safe = len(pulled)
+    pulled.clear()
+    assert tetb_alg1_matrix(g) == expected
+    assert len(pulled) == safe == 1
 
 
 @pytest.mark.parametrize("g", [cycle(9), path_fan(13)],

@@ -11,8 +11,7 @@ from twinblocks import (BlockSet, Digraph, GeneratorConfig, PreconditionError,
                         twinless_strongly_connected_components,
                         two_edge_blocks, underlying_graph)
 from twinblocks.cli import run
-from twinblocks.cuts import (_immediate_dominators, _Separations,
-                             _unpaired_two_cut_arcs)
+from twinblocks.cuts import _CutTree, _immediate_dominators, _Separations
 from twinblocks.fixtures import (C3, DEMO19_EDGE_TEXT, G_DEMO19, G_GADGET,
                                 K3B, P2)
 
@@ -269,7 +268,7 @@ def brute_unpaired_two_cut_arcs(g: Digraph) -> list[int]:
 
 
 def _two_cut_arcs(g: Digraph) -> list[int]:
-    return sorted(_unpaired_two_cut_arcs(g, twin_arc_ids(g)))
+    return sorted(_CutTree(g, twin_arc_ids(g)).unpaired)
 
 
 def test_two_cut_membership_matches_bruteforce():

@@ -1,8 +1,10 @@
 """Per-bridge TSCC splits read off the DFS tree of the underlying graph:
-preorder rings for the twinless bridges that are not strong, the U - x
-certificate for the strong bridges that cut off one vertex, and the
-low-link kernel only for the splits that fall back."""
+preorder rings for the twinless bridges that are not strong, the U - X
+certificate for the strong bridges whose cut-off part X is a connected
+subtree of it, and the full low-link kernel only for the splits that fall
+back."""
 import math
+import random
 
 import pytest
 
@@ -47,12 +49,19 @@ def _tscc_inputs():
 TSCC_INPUTS = _tscc_inputs()
 
 
+def _outside_stays_one_class(nbrs, n: int, cut) -> bool:
+    """The kernel with the vertices of ``cut`` set apart leaves the rest
+    one class."""
+    scc_of = [0] * n
+    for x in cut:
+        scc_of[x] = 1
+    class_of = _low_link_class_of(nbrs, scc_of)
+    return len({class_of[v] for v in range(n) if not scc_of[v]}) == 1
+
+
 def _stays_two_edge_connected(nbrs, n: int, x: int) -> bool:
     """The kernel with x set apart leaves V - {x} one class."""
-    scc_of = [0] * n
-    scc_of[x] = 1
-    class_of = _low_link_class_of(nbrs, scc_of)
-    return len({class_of[v] for v in range(n) if v != x}) == 1
+    return _outside_stays_one_class(nbrs, n, {x})
 
 
 def test_certificate_equals_kernel_on_every_vertex():
@@ -67,6 +76,52 @@ def test_certificate_equals_kernel_on_every_vertex():
             assert (x in certified) == ok, (g, x)
             outcomes[ok] += 1
     assert min(outcomes) > 4000
+
+
+def _subtree_top(parent, cut) -> int:
+    """The one vertex of ``cut`` whose parent lies outside it, or -1 when
+    there are several or ``cut`` holds the root 0."""
+    inside = set(cut)
+    tops = [x for x in cut if parent[x] not in inside]
+    return tops[0] if len(tops) == 1 and 0 not in inside else -1
+
+
+def _random_subtree(rng, kids, n: int) -> tuple[int, ...]:
+    """A connected subtree of the tree given by ``kids``, root excluded."""
+    cut = [rng.randrange(1, n)]
+    fringe = list(kids[cut[0]])
+    size = rng.randrange(1, n)
+    while fringe and len(cut) < size:
+        c = fringe.pop(rng.randrange(len(fringe)))
+        cut.append(c)
+        fringe += kids[c]
+    return tuple(sorted(cut))
+
+
+def test_certificate_equals_kernel_on_connected_subtrees():
+    rng = random.Random(11)
+    outcomes = {"strong": [0, 0], "random": [0, 0]}
+    for g in TSCC_INPUTS:
+        rep, seps = _bridge_report(g)
+        tree = seps.cut_tree
+        kids = [[] for _ in range(g.n)]
+        for v in tree.order[1:]:
+            kids[tree.parent[v]].append(v)
+        strong = {tuple(seps.cut_off(e)) for e in rep.strong_bridges}
+        drawn = {_random_subtree(rng, kids, g.n) for _ in range(6)}
+        certified = set(tree.certified(g, strong | drawn))
+        nbrs = _neighbours(g)
+        for kind, cuts in (("strong", strong), ("random", drawn)):
+            for cut in cuts:
+                if _subtree_top(tree.parent, cut) < 0:
+                    assert cut not in certified, (g, cut)
+                    continue
+                ok = _outside_stays_one_class(nbrs, g.n, cut)
+                assert (cut in certified) == ok, (g, cut)
+                outcomes[kind][ok] += 1
+    strong, drawn = outcomes["strong"], outcomes["random"]
+    assert min(strong + drawn) >= 500, outcomes
+    assert min(strong[0] + drawn[0], strong[1] + drawn[1]) >= 1000
 
 
 def test_ring_splits_equal_full_tscc_passes():
@@ -108,8 +163,7 @@ def test_tree_stream_equals_full_pass_stream():
     gated = 0
     for g in TSCC_INPUTS:
         rep, seps = _bridge_report(g)
-        alone = {seps.alone(e) for e in rep.strong_bridges} - {-1}
-        gated += len(alone) >= math.ceil(math.log2(g.n))
+        gated += _gate(g, _removal_splits(g, rep))
         safe = _full_pass_meet(g, Partition.single_class(g.n),
                                rep.twinless_bridges)
         assert tetb_alg1_matrix(g) == safe
@@ -130,27 +184,36 @@ def _removal_splits(g, rep) -> dict:
     return out
 
 
-def _singleton_cuts(splits) -> set[int]:
-    return {cut[0] for _scc, cut in splits.values() if len(cut) == 1}
+def _gate(g, splits) -> bool:
+    """At least ceil(log2 n) distinct cut-off parts other than V - {0}."""
+    cuts = {tuple(cut) for _scc, cut in splits.values()
+            if len(cut) < g.n - 1}
+    return len(cuts) >= math.ceil(math.log2(g.n))
 
 
-def _two_edge_connected_without(g, x: int) -> bool:
+def _two_edge_connected_without(g, cut) -> bool:
     u = underlying_graph(g)
     rest = UndirectedGraph(g.n, {(a, b) for a, b in u.edges
-                                 if x not in (a, b)})
-    return (connected_components(rest).num_classes == 2
+                                 if a not in cut and b not in cut})
+    return (connected_components(rest).num_classes == len(cut) + 1
             and not bridges_undirected(rest))
+
+
+def _stream(g):
+    """Every split of the per-bridge stream, nothing met."""
+    rep, seps = _bridge_report(g)
+    return list(blocks_mod._tscc_stream(g, seps, rep.twinless_bridges))
 
 
 def test_kernel_runs_once_per_fallback_split(monkeypatch):
     g = random_digraph(GeneratorConfig(
         n_range=(300, 300), m_range=(600, 600), twin_density=0.3, seed=7,
         shape="any"))
-    kernel, built = [], []
+    full, local, built = [], [], []
 
-    def counted_kernel(nbrs, scc_of, skip=-1):
-        kernel.append(skip)
-        return _low_link_class_of(nbrs, scc_of, skip)
+    def counted_kernel(nbrs, scc_of, skip=-1, roots=None):
+        (full if roots is None else local).append(skip)
+        return _low_link_class_of(nbrs, scc_of, skip, roots)
 
     certified = _CutTree.certified
 
@@ -160,7 +223,7 @@ def test_kernel_runs_once_per_fallback_split(monkeypatch):
 
     monkeypatch.setattr(blocks_mod, "_low_link_class_of", counted_kernel)
     monkeypatch.setattr(_CutTree, "certified", counted_certified)
-    gated = fell_back = 0
+    gated = fell_back = walked = 0
     for cls in twinless_strongly_connected_components(g).classes:
         if len(cls) < 3:
             continue
@@ -170,27 +233,41 @@ def test_kernel_runs_once_per_fallback_split(monkeypatch):
         assert built == []  # the bridge queries never build it
         rep = bridge_report(sub)
         splits = _removal_splits(sub, rep)
-        singles = _singleton_cuts(splits)
-        gate = len(singles) >= math.ceil(math.log2(sub.n))
-        ok = {x for x in singles
-              if gate and _two_edge_connected_without(sub, x)}
+        gate = _gate(sub, splits)
+        parent = _bridge_report(sub)[1].cut_tree.parent
+
+        def local_split(cut):
+            """V - {0} needs no certificate; another cut needs the gate, a
+            connected subtree of the DFS tree and U - X 2-edge-connected."""
+            return len(cut) == sub.n - 1 or (
+                gate and _subtree_top(parent, cut) >= 0
+                and _two_edge_connected_without(sub, set(cut)))
         fallbacks = {scc for scc, cut in splits.values()
-                     if not (len(cut) == 1 and cut[0] in ok)}
-        kernel.clear()
-        tetb_alg1_matrix(sub)  # alg1 meets every split: no early stop
+                     if not local_split(cut)}
+        # a certified cut X walks X alone, unless its SCCs are single
+        # vertices (the class of vertex 0 is V - X)
+        locals_ = {scc for scc, cut in splits.values() if local_split(cut)
+                   and any(len(c) > 1 for c in scc.classes if 0 not in c)}
+        full.clear()
+        local.clear()
+        _stream(sub)
         assert len(built) == gate
-        # one pass per fallback split, and none for a non-strong bridge
-        # or a certified cut-off vertex
-        assert len(kernel) == len(fallbacks)
-        assert set(kernel) <= rep.strong_bridges
-        assert {splits[e][0] for e in kernel} == fallbacks
+        # one full pass per fallback split and one local pass per certified
+        # split with a larger SCC; none for a non-strong bridge
+        assert len(full) == len(fallbacks)
+        assert len(local) == len(locals_)
+        assert set(full + local) <= rep.strong_bridges
+        assert {splits[e][0] for e in full} == fallbacks
+        assert {splits[e][0] for e in local} == locals_
         gated += gate
-        fell_back += bool(kernel)
-        kernel.clear()
+        fell_back += bool(full)
+        walked += bool(local)
+        full.clear()
+        local.clear()
         built.clear()
         tetb_alg2_refine(sub, "faithful")  # ring splits only
-        assert kernel == [] and built == []
-    assert gated >= 1 and fell_back >= 1
+        assert full == local == built == []
+    assert gated >= 1 and fell_back >= 1 and walked >= 1
 
 
 @pytest.mark.parametrize("g", [cycle(9), path_fan(13), blob_chain(3, 3)],
@@ -204,9 +281,12 @@ def test_certificate_is_not_built_below_the_gate(g, monkeypatch):
         return certified(self, *args)
 
     monkeypatch.setattr(_CutTree, "certified", counted_certified)
-    singles = _singleton_cuts(_removal_splits(g, bridge_report(g)))
-    assert len(singles) < math.ceil(math.log2(g.n))
+    reached = _gate(g, _removal_splits(g, bridge_report(g)))
+    assert reached == (g.n == 13)  # path_fan(13): 5 cuts, gate 4
     for mode in ("safe", "faithful"):
         tetb_alg2_refine(g, mode)
     tetb_alg1_matrix(g)
-    assert built == []
+    assert len(built) <= reached
+    built.clear()
+    _stream(g)  # the whole stream builds it iff the gate is reached
+    assert len(built) == reached
