@@ -21,9 +21,14 @@ V - X_e one class, so a low-link pass over X_e alone finishes its split.
 That is so when X_e = V - {0}, and when a certificate built once per graph
 says so for an X_e that is a connected subtree of T; it costs
 O((n + m) log n) and is built only when at least ceil(log2 n) distinct
-X_e other than V - {0} reach it.  Only the other splits run a full
-undirected low-link pass, over a neighbour list built once per graph,
-skipping a strong bridge whose split repeats an earlier one.  Full
+X_e other than V - {0} reach it.  A cut it refuses is peeled: P, the
+vertices removed from U - X_e, in turn, for having at most one neighbour
+left, lies on no cycle of U - X_e (the first of them removed from a cycle
+still had two neighbours on it), so each vertex of P is a class of its
+own; when the certificate passes X_e + P, V - X_e - P is one class and
+the split is local again, with P set apart.  Only the other splits run a
+full undirected low-link pass, over a neighbour list built once per
+graph, skipping a strong bridge whose split repeats an earlier one.  Full
 undirected passes therefore number only these fallbacks, plus
 O(sum of |G[X_e]|) local work, which is quadratic on nested cuts such as
 a directed cycle; every algorithm stops once no later split can change
@@ -51,7 +56,7 @@ from .core import (Digraph, GraphError, BudgetError, PreconditionError,
 from .partition import Partition, partition_meet
 from .connectivity import (_low_link_class_of, _neighbours, _split_class_of,
                            twinless_strongly_connected_components)
-from .cuts import _bridge_report, _Separations
+from .cuts import _bridge_report, _peel, _Separations
 
 MATRIX_VERTEX_BUDGET = 20_000
 SUBSET_BUDGET = 10 ** 6
@@ -201,15 +206,23 @@ def _scc_splits(g: Digraph, cuts):
     one vertex x is fixed by x, so it is recorded as a flag on x and
     checked before the split is computed; a larger one by its canonical
     form, X_e ascending and then its classes numbered by first
-    occurrence.  Both go with the generator.
+    occurrence.  A bridge with an end outside X_e is not in G[X_e], so
+    every such bridge of one X_e gives the same split: X_e alone keys
+    those, checked before the split too.  Each goes with the generator.
     """
     alone = bytearray(g.n)
     seen: set[tuple[int, ...]] = set()
+    outside: set[tuple[int, ...]] = set()  # X_e split for such a bridge
     for e, cut in cuts:
         if len(cut) == 1:
             if alone[cut[0]]:
                 continue
             alone[cut[0]] = 1
+        elif not all(x in cut for x in g.arcs[e][:2]):
+            key = tuple(cut)
+            if key in outside:
+                continue
+            outside.add(key)
         scc_of = _split_class_of(g, cut, e)
         if len(cut) > 1:
             key = (*cut, *Partition([scc_of[x] for x in cut]).class_of)
@@ -226,24 +239,38 @@ def _tscc_stream(g: Digraph, seps: _Separations, bridges):
     * A twinless bridge that is not a strong bridge gets the preorder
       rings of its 2-cut class of U, read off the tree with no traversal.
     * A strong bridge e splits g into V - X_e, cut by the 2-edge-connected
-      classes of U - X_e, and the TSCCs of G[X_e] - e.  When U - X_e is
-      2-edge-connected, V - X_e stays one class and the split is local:
+      classes of U - X_e, and the TSCCs of G[X_e] - e (e has an end in
+      X_e, so U - X_e is all the kernel sees outside X_e).  When U - X_e
+      is 2-edge-connected, V - X_e stays one class and the split is local:
       the SCC split of ``_scc_splits``, then a low-link pass over X_e
       alone, skipped when every SCC there is one vertex.  That holds for
-      X_e = V - {0}, and for the other X_e that ``_CutTree.certified``
-      passes: connected subtrees of T whose contracted vertex passes the
-      U - x rule.  The certified splits whose SCCs inside X_e are single
-      vertices, every one-vertex cut among them, are met as one split,
-      each such vertex alone.  The certificate costs O((n + m) log n),
-      about as much as log n kernel passes, so it is built only when at
-      least ceil(log2 n) distinct X_e other than V - {0} reach it.
+      X_e = V - {0}, and for the other X_e that the query of
+      ``_CutTree.certified`` passes: connected subtrees of T whose
+      contracted vertex passes the U - x rule.
+    * A cut the query refuses is peeled (``cuts._peel``): P holds the
+      vertices removed from U - X_e, in turn, for having at most one
+      neighbour left.  The earliest removed vertex on a cycle of U - X_e
+      would still have had its two cycle neighbours, so no vertex of P is
+      on a cycle and each is a class of its own.  When the query passes
+      X_e + P, U - X_e - P is 2-edge-connected, so V - X_e - P is one
+      class: the split is local, met as the pass over X_e and a split
+      with P set apart.  If P holds vertex 0, or X_e + P is no connected
+      subtree, the query refuses it.
     * Every other split is a fallback: the SCC split, then one full
       low-link kernel pass.
 
-    The cuts X_e = V - {0} come first, as the strong bridges are met in id
-    order, so a meet that stops early never enumerates the other X_e.  One
-    neighbour list serves the kernel passes, built at the first; one that
-    a cut of V - {0} needed is dropped while the certificate is built.
+    The local splits whose SCCs inside X_e are single vertices, every
+    one-vertex cut among them, are met as one split with every peel, each
+    such vertex alone; a meet is idempotent, so a vertex set apart twice
+    changes nothing.  The certificate costs O((n + m) log n), about as
+    much as log n kernel passes, so it is built only when at least
+    ceil(log2 n) distinct X_e other than V - {0} reach it; a peel costs
+    O(vol(X_e + P)).  The cuts X_e = V - {0} come first, as the strong
+    bridges are met in id order, so a meet that stops early never
+    enumerates the other X_e.  One neighbour list serves the kernel
+    passes, built at the first; one that a cut of V - {0} needed is
+    dropped while the certificate is built, and every cut is asked about
+    before the next kernel pass, so the two are never held together.
     """
     if not bridges:
         return
@@ -272,15 +299,27 @@ def _tscc_stream(g: Digraph, seps: _Separations, bridges):
     for e, cut, scc_of in _scc_splits(g, whole()):
         # U - X_e is vertex 0 alone; a pass over X_e leaves it class -1
         yield scc_of if max(scc_of) == n - 1 else kernel(scc_of, e, cut)
-    ok: set[tuple[int, ...]] = set()
+    local: dict[tuple[int, ...], list[int]] = {}  # certified X_e -> peel
     if len(groups) >= (n - 1).bit_length():
         nbrs.clear()  # rebuilt if needed, not held beside the tables
-        ok = set(tree.certified(g, groups))
-    apart = [cut[0] for cut in groups if len(cut) == 1 and cut in ok]
+        passes = tree.certified(g)
+        for cut in groups:
+            if passes(cut):
+                local[cut] = []
+            else:
+                peel = _peel(g, cut)
+                if peel and passes(cut + tuple(peel)):
+                    local[cut] = peel
+        del passes  # the tables go before the first kernel pass
+    apart = []
+    for cut, peel in local.items():
+        apart += peel
+        if len(cut) == 1:
+            apart += cut
     rest = ((e, cut) for cut, es in groups.items()
-            if len(cut) > 1 or cut not in ok for e in es)
+            if len(cut) > 1 or cut not in local for e in es)
     for e, cut, scc_of in _scc_splits(g, rest):
-        if cut not in ok:
+        if cut not in local:
             yield kernel(scc_of, e)
         elif max(scc_of) < len(cut):
             yield kernel(scc_of, e, cut)

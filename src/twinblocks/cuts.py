@@ -41,7 +41,12 @@ connected subtrees of that tree leave U - X 2-edge-connected (a
 certificate in O((n + m) log n) plus O((|X| + children) log n) per set,
 read at the vertex X contracts to; only the block algorithms build it,
 and only when at least ceil(log2 n) distinct sets other than V - {0}
-reach it); only the other splits take a full low-link pass.
+reach it).  A set X it refuses is asked about again with its peel P
+(``_peel``): the vertices removed from U - X, in turn, for having at most
+one neighbour left.  None of them is on a cycle of U - X, since the first
+removed from a cycle still had two neighbours there, so each is a
+2-edge-connected class of U - X of its own, and the rest is one class when
+X + P passes.  Only the other splits take a full low-link pass.
 
 Arc identity (arc_id), not the endpoint pair, names a bridge; that stays
 unambiguous under antiparallel pairs.
@@ -412,11 +417,12 @@ class _CutTree:
             else:
                 yield [depth[p] for p in pre]
 
-    def certified(self, g: Digraph, cuts) -> list:
-        """The cuts X of ``cuts`` (a vertex x stands for {x}), in order,
-        that are connected subtrees of the DFS tree T, the root left out,
-        and leave U - X 2-edge-connected; O((n + m) log n) once, plus
-        O((|X| + children) log n) per cut.
+    def certified(self, g: Digraph):
+        """A query for the cuts X (sequences of vertices) that are connected
+        subtrees of the DFS tree T, the root left out, and leave U - X
+        2-edge-connected: it is built in O((n + m) log n) and answers one
+        cut in O((|X| + children) log n), so a caller can ask again after
+        a refusal.
 
         X is a connected subtree when exactly one member, its top r, has
         its parent outside X.  Contracting X to one vertex x* turns U into
@@ -458,7 +464,8 @@ class _CutTree:
         sweep that removes preorder positions as the threshold falls; the
         second clause of (B) from the largest low[q] over the q below c
         with high[q] < pre[c], one union-find pass.  (C-i) visits the q
-        with M(q) in X.  The tables are int arrays, freed on return.
+        with M(q) in X.  The tables are int arrays, held by the query and
+        freed with it.
         """
         parent, pre, order, tout = self.parent, self.pre, self.order, self.tout
         cnt, high = self.cnt, self.high
@@ -648,18 +655,48 @@ class _CutTree:
                     q = next_q[q]
             return True
 
-        out = []
-        for cut in cuts:
-            members = (cut,) if isinstance(cut, int) else cut
-            for y in members:
+        def query(cut) -> bool:
+            """Whether the cut X, a sequence of vertices, is a connected
+            subtree of T without the root that leaves U - X
+            2-edge-connected."""
+            for y in cut:
                 mark[y] = 1
-            tops = [] if mark[0] else [y for y in members
-                                       if not mark[parent[y]]]
-            if len(tops) == 1 and passes(members, tops[0]):
-                out.append(cut)
-            for y in members:
+            tops = [] if mark[0] else [y for y in cut if not mark[parent[y]]]
+            ok = len(tops) == 1 and passes(cut, tops[0])
+            for y in cut:
                 mark[y] = 0
-        return out
+            return ok
+
+        return query
+
+
+def _peel(g: Digraph, cut) -> list[int]:
+    """The peel P of U - X for the cut X: the vertices removed, in turn,
+    from U - X for having at most one neighbour left, a twin pair being
+    one edge; that is, V - X minus the 2-core of U - X.  O(vol(X + P)),
+    from the digraph's own arcs and no other adjacency.
+
+    No vertex of P lies on a cycle of U - X: the first of them removed
+    from a cycle still had both its neighbours on it.  So every edge at a
+    vertex of P is a bridge of U - X, and each vertex of P is a
+    2-edge-connected class of its own there.
+    """
+    out, inc = g.out_pairs, g.in_pairs
+    gone = set(cut)
+    hits: dict[int, int] = {}  # per vertex, its arcs to removed vertices
+    removed = list(cut)  # X, then P as it is removed; each walked once
+    for p in removed:
+        for w, _ in chain(out[p], inc[p]):
+            if w in gone:
+                continue
+            hits[w] = hits.get(w, 0) + 1
+            # only a vertex with at most two arcs left, possibly one twin
+            # pair, can have one neighbour left
+            if len(out[w]) + len(inc[w]) - hits[w] <= 2 and len(
+                    {x for x, _ in chain(out[w], inc[w])} - gone) <= 1:
+                gone.add(w)
+                removed.append(w)
+    return removed[len(cut):]
 
 
 @dataclass(frozen=True)

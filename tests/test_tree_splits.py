@@ -1,10 +1,11 @@
 """Per-bridge TSCC splits read off the DFS tree of the underlying graph:
 preorder rings for the twinless bridges that are not strong, the U - X
-certificate for the strong bridges whose cut-off part X is a connected
-subtree of it, and the full low-link kernel only for the splits that fall
-back."""
+certificate for the strong bridges whose cut-off part X, or X with its
+peel, is a connected subtree of it, and the full low-link kernel only for
+the splits that fall back."""
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -19,8 +20,8 @@ from twinblocks import (GeneratorConfig, Partition, UndirectedGraph,
 from twinblocks import blocks as blocks_mod
 from twinblocks.blocks import BlockSet, _two_edge_block_partition
 from twinblocks.connectivity import (_low_link_class_of, _neighbours,
-                                     _tscc_class_of)
-from twinblocks.cuts import _bridge_report, _CutTree
+                                     _split_class_of, _tscc_class_of)
+from twinblocks.cuts import _bridge_report, _CutTree, _peel
 from twinblocks.fixtures import C3, G_DEMO19, G_GADGET, K3B, P2
 
 from helpers import blob_chain, cycle, path_fan, shuffled
@@ -69,7 +70,8 @@ def test_certificate_equals_kernel_on_every_vertex():
     for g in TSCC_INPUTS:
         seps = _bridge_report(g)[1]
         nbrs = _neighbours(g)
-        certified = set(seps.cut_tree.certified(g, range(g.n)))
+        passes = seps.cut_tree.certified(g)
+        certified = {x for x in range(g.n) if passes((x,))}
         assert 0 not in certified
         for x in range(1, g.n):
             ok = _stays_two_edge_connected(nbrs, g.n, x)
@@ -109,7 +111,8 @@ def test_certificate_equals_kernel_on_connected_subtrees():
             kids[tree.parent[v]].append(v)
         strong = {tuple(seps.cut_off(e)) for e in rep.strong_bridges}
         drawn = {_random_subtree(rng, kids, g.n) for _ in range(6)}
-        certified = set(tree.certified(g, strong | drawn))
+        passes = tree.certified(g)
+        certified = {cut for cut in strong | drawn if passes(cut)}
         nbrs = _neighbours(g)
         for kind, cuts in (("strong", strong), ("random", drawn)):
             for cut in cuts:
@@ -122,6 +125,58 @@ def test_certificate_equals_kernel_on_connected_subtrees():
     strong, drawn = outcomes["strong"], outcomes["random"]
     assert min(strong + drawn) >= 500, outcomes
     assert min(strong[0] + drawn[0], strong[1] + drawn[1]) >= 1000
+
+
+def _model_peel(g, cut) -> set[int]:
+    """V - X minus the 2-core of U - X, from the reference underlying
+    graph: drop every vertex with at most one neighbour left, repeatedly."""
+    adjacency = underlying_graph(g).adjacency
+    left = set(range(g.n)) - set(cut)
+    while True:
+        low = {v for v in left if len(left.intersection(adjacency[v])) < 2}
+        if not low:
+            return set(range(g.n)) - set(cut) - left
+        left -= low
+
+
+def test_peeled_certificate_equals_kernel():
+    rng = random.Random(13)
+    outcomes = Counter()
+    for g in TSCC_INPUTS:
+        rep, seps = _bridge_report(g)
+        tree = seps.cut_tree
+        kids = [[] for _ in range(g.n)]
+        for v in tree.order[1:]:
+            kids[tree.parent[v]].append(v)
+        strong = {tuple(seps.cut_off(e)) for e in rep.strong_bridges}
+        drawn = {_random_subtree(rng, kids, g.n) for _ in range(6)}
+        passes = tree.certified(g)
+        nbrs = _neighbours(g)
+        for cut in strong | drawn:
+            if passes(cut):
+                continue  # only a refused cut is peeled
+            peel = _peel(g, cut)
+            assert len(set(peel)) == len(peel), (g, cut)
+            assert set(peel) == _model_peel(g, cut), (g, cut)
+            # the kernel with X set apart: each vertex of P is alone
+            scc_of = [0] * g.n
+            for x in cut:
+                scc_of[x] = 1
+            class_of = _low_link_class_of(nbrs, scc_of)
+            sizes = Counter(class_of[v] for v in range(g.n) if not scc_of[v])
+            assert all(sizes[class_of[p]] == 1 for p in peel), (g, cut)
+            whole = cut + tuple(peel)
+            if _subtree_top(tree.parent, whole) < 0:
+                assert not passes(whole), (g, cut)
+                outcomes["not a subtree"] += 1
+                continue
+            rest = {class_of[v] for v in range(g.n)
+                    if not scc_of[v] and v not in peel}
+            ok = len(rest) == 1
+            assert passes(whole) == ok, (g, cut)
+            outcomes[ok, bool(peel)] += 1
+    assert outcomes[True, True] >= 500, outcomes
+    assert min(outcomes[False, True], outcomes["not a subtree"]) >= 20
 
 
 def test_ring_splits_equal_full_tscc_passes():
@@ -205,10 +260,13 @@ def _stream(g):
     return list(blocks_mod._tscc_stream(g, seps, rep.twinless_bridges))
 
 
+SPARSE_ANY = random_digraph(GeneratorConfig(
+    n_range=(300, 300), m_range=(600, 600), twin_density=0.3, seed=7,
+    shape="any"))
+
+
 def test_kernel_runs_once_per_fallback_split(monkeypatch):
-    g = random_digraph(GeneratorConfig(
-        n_range=(300, 300), m_range=(600, 600), twin_density=0.3, seed=7,
-        shape="any"))
+    g = SPARSE_ANY
     full, local, built = [], [], []
 
     def counted_kernel(nbrs, scc_of, skip=-1, roots=None):
@@ -237,11 +295,13 @@ def test_kernel_runs_once_per_fallback_split(monkeypatch):
         parent = _bridge_report(sub)[1].cut_tree.parent
 
         def local_split(cut):
-            """V - {0} needs no certificate; another cut needs the gate, a
-            connected subtree of the DFS tree and U - X 2-edge-connected."""
-            return len(cut) == sub.n - 1 or (
-                gate and _subtree_top(parent, cut) >= 0
-                and _two_edge_connected_without(sub, set(cut)))
+            """V - {0} needs no certificate; another cut X needs the gate,
+            and X or X with its peel a connected subtree of the DFS tree
+            with U minus it 2-edge-connected."""
+            return len(cut) == sub.n - 1 or gate and any(
+                _subtree_top(parent, whole) >= 0
+                and _two_edge_connected_without(sub, set(whole))
+                for whole in (cut, cut + sorted(_model_peel(sub, cut))))
         fallbacks = {scc for scc, cut in splits.values()
                      if not local_split(cut)}
         # a certified cut X walks X alone, unless its SCCs are single
@@ -268,6 +328,60 @@ def test_kernel_runs_once_per_fallback_split(monkeypatch):
         tetb_alg2_refine(sub, "faithful")  # ring splits only
         assert full == local == built == []
     assert gated >= 1 and fell_back >= 1 and walked >= 1
+
+
+def test_split_pass_repeats_only_for_a_bridge_inside_its_cut(monkeypatch):
+    called, fed, yielded = [], [], []
+    scc_splits = blocks_mod._scc_splits
+
+    def counted_split(g, cut, e):
+        called.append(e)
+        return _split_class_of(g, cut, e)
+
+    def counted_splits(g, cuts):
+        def feed():
+            for e, cut in cuts:
+                fed.append((e, tuple(cut)))
+                yield e, cut
+
+        for split in scc_splits(g, feed()):
+            yielded.append(split[0])
+            yield split
+
+    monkeypatch.setattr(blocks_mod, "_split_class_of", counted_split)
+    monkeypatch.setattr(blocks_mod, "_scc_splits", counted_splits)
+    repeats = skipped = 0
+    for cls in twinless_strongly_connected_components(SPARSE_ANY).classes:
+        if len(cls) < 3:
+            continue
+        sub = induced_subgraph(SPARSE_ANY, cls)
+        rep, seps = _bridge_report(sub)
+        splits = _removal_splits(sub, rep)
+        called.clear()
+        fed.clear()
+        yielded.clear()
+        _stream(sub)
+        # the bridges with an end outside their larger cut X (all but the
+        # bridges of both G_0 and G_0^R) split each X once; a split
+        # computed again is keyed after it, so it is not yielded
+        seen, outside = set(), set()
+        again = 0
+        for e in called:
+            scc, cut = splits[e]
+            if seps.side[e] != 3 and len(cut) > 1:
+                assert tuple(cut) not in outside, (sub, e)
+                outside.add(tuple(cut))
+            again += (tuple(cut), scc) in seen
+            seen.add((tuple(cut), scc))
+        assert len(called) == len(yielded) + again
+        repeats += again
+        # what the key on X saves: a larger cut fed again for such a bridge
+        outside.clear()
+        for e, cut in fed:
+            if len(cut) > 1 and seps.side[e] != 3:
+                skipped += cut in outside
+                outside.add(cut)
+    assert skipped >= 2 and repeats >= 2, (skipped, repeats)
 
 
 @pytest.mark.parametrize("g", [cycle(9), path_fan(13), blob_chain(3, 3)],
