@@ -21,19 +21,20 @@ V - X_e one class, so a low-link pass over X_e alone finishes its split.
 That is so when X_e = V - {0}, and when a certificate built once per graph
 says so for an X_e that is a connected subtree of T; it costs
 O((n + m) log n) and is built only when at least ceil(log2 n) distinct
-X_e other than V - {0} reach it.  A cut it refuses is peeled: P, the
-vertices removed from U - X_e, in turn, for having at most one neighbour
-left, lies on no cycle of U - X_e (the first of them removed from a cycle
-still had two neighbours on it), so each vertex of P is a class of its
-own; when the certificate passes X_e + P, V - X_e - P is one class and
-the split is local again, with P set apart.  Only the other splits run a
-full undirected low-link pass, over a neighbour list built once per
-graph, skipping a strong bridge whose split repeats an earlier one.  Full
-undirected passes therefore number only these fallbacks, plus
-O(sum of |G[X_e]|) local work, which is quadratic on nested cuts such as
-a directed cycle; every algorithm stops once no later split can change
-its result.  A split stays a plain class list up to the meet, which zips
-it with the running class ids into one O(n) ``Partition``.
+X_e other than V - {0} reach it.  Each such cut is peeled first and
+asked about once: P, the vertices removed from U - X_e, in turn, for
+having at most one neighbour left, lies on no cycle of U - X_e (the first
+of them removed from a cycle still had two neighbours on it), so each
+vertex of P is a class of its own; when the certificate passes X_e + P,
+V - X_e - P is one class and the split is local, with P set apart.  P is
+empty when U - X_e is 2-edge-connected already.  Only the other splits
+run a full undirected low-link pass, on the digraph's own arcs, skipping
+a strong bridge whose split repeats an earlier one.  Full undirected
+passes therefore number only these fallbacks, plus O(sum of |G[X_e]|)
+local work, which is quadratic on nested cuts such as a directed cycle;
+every algorithm stops once no later split can change its result.  A
+split stays a plain class list up to the meet, which zips it with the
+running class ids into one O(n) ``Partition``.
 
 Two algorithms are provided for the twinless variant.  The matrix
 transcription (``tetb_alg1_matrix``) marks separated pairs in an n-by-n
@@ -54,7 +55,7 @@ from dataclasses import dataclass
 from .core import (Digraph, GraphError, BudgetError, PreconditionError,
                    induced_subgraph, remove_arcs)
 from .partition import Partition, partition_meet
-from .connectivity import (_low_link_class_of, _neighbours, _split_class_of,
+from .connectivity import (_low_link_class_of, _split_class_of,
                            twinless_strongly_connected_components)
 from .cuts import _bridge_report, _peel, _Separations
 
@@ -164,9 +165,8 @@ class BlockSet:
             raise GraphError("blocks are not disjoint")
 
     @classmethod
-    def from_partition(cls, p: Partition, min_size: int = 2) -> "BlockSet":
-        return cls(frozenset(
-            frozenset(c) for c in p.classes if len(c) >= min_size))
+    def from_partition(cls, p: Partition) -> "BlockSet":
+        return cls(frozenset(frozenset(c) for c in p.classes if len(c) > 1))
 
     def covered_vertices(self) -> frozenset[int]:
         out: set[int] = set()
@@ -202,23 +202,19 @@ def _scc_splits(g: Digraph, cuts):
     The classes are 0 on V - X_e and the SCCs of G[X_e] - e from 1 on.
     The skip is exact for the SCC and the TSCC meets alike: the ends of a
     strong bridge lie in different SCCs of g - e, so TSCC(g - e) depends
-    on SCC(g - e) alone, and a meet is idempotent.  A split that cuts off
-    one vertex x is fixed by x, so it is recorded as a flag on x and
-    checked before the split is computed; a larger one by its canonical
-    form, X_e ascending and then its classes numbered by first
-    occurrence.  A bridge with an end outside X_e is not in G[X_e], so
-    every such bridge of one X_e gives the same split: X_e alone keys
-    those, checked before the split too.  Each goes with the generator.
+    on SCC(g - e) alone, and a meet is idempotent.  A bridge with an end
+    outside X_e is not in G[X_e], so every such bridge of one X_e gives
+    the same split: X_e alone keys those, checked before the split is
+    computed.  That covers every one-vertex X_e: only a bridge of both
+    G_0 and G_0^R has both ends in X_e, and then |X_e| >= 2.  A larger
+    split is keyed by its canonical form, X_e ascending and then its
+    classes numbered by first occurrence.  Both keys go with the
+    generator.
     """
-    alone = bytearray(g.n)
     seen: set[tuple[int, ...]] = set()
     outside: set[tuple[int, ...]] = set()  # X_e split for such a bridge
     for e, cut in cuts:
-        if len(cut) == 1:
-            if alone[cut[0]]:
-                continue
-            alone[cut[0]] = 1
-        elif not all(x in cut for x in g.arcs[e][:2]):
+        if not all(x in cut for x in g.arcs[e][:2]):
             key = tuple(cut)
             if key in outside:
                 continue
@@ -244,18 +240,20 @@ def _tscc_stream(g: Digraph, seps: _Separations, bridges):
       is 2-edge-connected, V - X_e stays one class and the split is local:
       the SCC split of ``_scc_splits``, then a low-link pass over X_e
       alone, skipped when every SCC there is one vertex.  That holds for
-      X_e = V - {0}, and for the other X_e that the query of
-      ``_CutTree.certified`` passes: connected subtrees of T whose
-      contracted vertex passes the U - x rule.
-    * A cut the query refuses is peeled (``cuts._peel``): P holds the
-      vertices removed from U - X_e, in turn, for having at most one
-      neighbour left.  The earliest removed vertex on a cycle of U - X_e
-      would still have had its two cycle neighbours, so no vertex of P is
-      on a cycle and each is a class of its own.  When the query passes
-      X_e + P, U - X_e - P is 2-edge-connected, so V - X_e - P is one
-      class: the split is local, met as the pass over X_e and a split
-      with P set apart.  If P holds vertex 0, or X_e + P is no connected
-      subtree, the query refuses it.
+      X_e = V - {0}.
+    * Every other cut past the gate below is peeled first (``cuts._peel``)
+      and asked about once: P holds the vertices removed from U - X_e, in
+      turn, for having at most one neighbour left.  The earliest removed
+      vertex on a cycle of U - X_e would still have had its two cycle
+      neighbours, so no vertex of P is on a cycle and each is a class of
+      its own.  When the query of ``_CutTree.certified`` passes X_e + P,
+      a connected subtree of T whose contracted vertex passes the U - x
+      rule, U - X_e - P is 2-edge-connected, so V - X_e - P is one class:
+      the split is local, met as the pass over X_e and a split with P set
+      apart.  If P holds vertex 0, or X_e + P is no connected subtree, the
+      query refuses it.  P is empty when U - X_e is 2-edge-connected: U
+      is simple and U - X_e holds vertex 0 and another vertex, so it then
+      has at least three, each with two neighbours left.
     * Every other split is a fallback: the SCC split, then one full
       low-link kernel pass.
 
@@ -267,23 +265,15 @@ def _tscc_stream(g: Digraph, seps: _Separations, bridges):
     ceil(log2 n) distinct X_e other than V - {0} reach it; a peel costs
     O(vol(X_e + P)).  The cuts X_e = V - {0} come first, as the strong
     bridges are met in id order, so a meet that stops early never
-    enumerates the other X_e.  One neighbour list serves the kernel
-    passes, built at the first; one that a cut of V - {0} needed is
-    dropped while the certificate is built, and every cut is asked about
-    before the next kernel pass, so the two are never held together.
+    enumerates the other X_e.  Every cut is asked about before the next
+    kernel pass, so the certificate's tables are freed before it.
     """
     if not bridges:
         return
     n = g.n
     tree = seps.cut_tree
     yield from tree.rings(g, sorted(e for e in bridges if not seps.side[e]))
-    nbrs: list = []  # one neighbour list, built at the first kernel pass
     groups: dict[tuple[int, ...], list[int]] = {}  # X_e -> its bridges
-
-    def kernel(scc_of, e, *roots):
-        if not nbrs:
-            nbrs.extend(_neighbours(g))
-        return _low_link_class_of(nbrs, scc_of, e, *roots)
 
     def whole():
         """The bridges that cut off V - {0}, as met; the others are
@@ -298,18 +288,15 @@ def _tscc_stream(g: Digraph, seps: _Separations, bridges):
 
     for e, cut, scc_of in _scc_splits(g, whole()):
         # U - X_e is vertex 0 alone; a pass over X_e leaves it class -1
-        yield scc_of if max(scc_of) == n - 1 else kernel(scc_of, e, cut)
+        yield (scc_of if max(scc_of) == n - 1
+               else _low_link_class_of(g, scc_of, e, cut))
     local: dict[tuple[int, ...], list[int]] = {}  # certified X_e -> peel
     if len(groups) >= (n - 1).bit_length():
-        nbrs.clear()  # rebuilt if needed, not held beside the tables
         passes = tree.certified(g)
         for cut in groups:
-            if passes(cut):
-                local[cut] = []
-            else:
-                peel = _peel(g, cut)
-                if peel and passes(cut + tuple(peel)):
-                    local[cut] = peel
+            peel = _peel(g, cut)
+            if passes(cut + tuple(peel)):
+                local[cut] = peel
         del passes  # the tables go before the first kernel pass
     apart = []
     for cut, peel in local.items():
@@ -320,9 +307,9 @@ def _tscc_stream(g: Digraph, seps: _Separations, bridges):
             if len(cut) > 1 or cut not in local for e in es)
     for e, cut, scc_of in _scc_splits(g, rest):
         if cut not in local:
-            yield kernel(scc_of, e)
+            yield _low_link_class_of(g, scc_of, e)
         elif max(scc_of) < len(cut):
-            yield kernel(scc_of, e, cut)
+            yield _low_link_class_of(g, scc_of, e, cut)
         else:  # every vertex of X_e is an SCC of its own
             apart += cut
     if apart:

@@ -12,11 +12,11 @@ oracle is ground truth and the mismatch must be reported, not patched.
 Both stages traverse the digraph's own adjacency, optionally with one arc
 skipped: Tarjan's SCC pass, then one undirected low-link DFS that stays
 inside each SCC; no undirected graph is built.  The DFS is one kernel,
-``_low_link_class_of(nbrs, scc_of, skip)``: it takes the SCC classes as
+``_low_link_class_of(g, scc_of, skip)``: it takes the SCC classes as
 input, so a caller that knows them already (the precondition of
 ``condensation_tscc``, or the dominator-interval splits that ``blocks``
-reads for each strong bridge) runs no Tarjan pass for it, and it walks one
-combined neighbour list that a caller builds once per graph.  Twin ids come
+reads for each strong bridge) runs no Tarjan pass for it, and it walks each
+visited vertex's out- and in-arcs straight from the graph.  Twin ids come
 from the graph, which derives them once; the undirected references are in
 testkit.
 """
@@ -119,32 +119,24 @@ def is_strongly_connected(g: Digraph) -> bool:
     return not any(_scc_class_of(g))
 
 
-def _neighbours(g: Digraph) -> list[list[tuple[int, int]]]:
-    """Per vertex, its out-arcs then its in-arcs as (neighbour, arc_id).
-
-    Lists, not tuples: freed tuples shorter than 20 stay on the
-    interpreter's per-length free lists, which would keep most of this
-    list's memory after the last pass.
-    """
-    return [[*o, *i] for o, i in zip(g.out_pairs, g.in_pairs)]
-
-
-def _low_link_class_of(nbrs, scc_of: list[int], skip: int = -1,
+def _low_link_class_of(g: Digraph, scc_of: list[int], skip: int = -1,
                        roots=None) -> list[int]:
     """2-edge-connected classes of the underlying graph inside each class
     of ``scc_of``, minus the ``skip`` arc; O(n + m).
 
-    The undirected low-link DFS walks ``nbrs`` (from ``_neighbours``, built
-    once per graph and reused by every pass) and ignores edges between
-    classes.  The underlying graph is simple, so skipping every arc to the
-    DFS parent skips exactly the tree edge, antiparallel pair included.
+    The undirected low-link DFS walks, at each vertex it visits, the
+    vertex's out-arcs then its in-arcs as one tuple, and ignores edges
+    between classes.  The underlying graph is simple, so skipping every
+    arc to the DFS parent skips exactly the tree edge, antiparallel pair
+    included.
     The edge into v is a bridge iff low[v] == disc[v], which closes v's
     class.  With ``scc_of`` the SCC classes of g minus ``skip``, the result
     is the TSCC classes of g minus ``skip``.  With ``roots``, the walk
     covers only the classes of those vertices (after O(n) list set-up),
     and every other vertex keeps class -1.
     """
-    n = len(nbrs)
+    out, inc = g.out_pairs, g.in_pairs
+    n = g.n
     disc = [-1] * n
     low = [0] * n
     class_of = [-1] * n
@@ -157,7 +149,7 @@ def _low_link_class_of(nbrs, scc_of: list[int], skip: int = -1,
         disc[root] = low[root] = timer
         timer += 1
         stack.append(root)
-        work = [(root, -1, iter(nbrs[root]))]
+        work = [(root, -1, iter(out[root] + inc[root]))]
         while work:
             v, parent, arcs = work[-1]
             scc = scc_of[v]
@@ -168,7 +160,7 @@ def _low_link_class_of(nbrs, scc_of: list[int], skip: int = -1,
                     disc[w] = low[w] = timer
                     timer += 1
                     stack.append(w)
-                    work.append((w, v, iter(nbrs[w])))
+                    work.append((w, v, iter(out[w] + inc[w])))
                     break
                 if disc[w] < low[v]:
                     low[v] = disc[w]
@@ -189,8 +181,7 @@ def _low_link_class_of(nbrs, scc_of: list[int], skip: int = -1,
 def _tscc_class_of(g: Digraph, skip: int = -1) -> list[int]:
     """TSCC classes of g (minus the optional ``skip`` arc); O(n + m): one
     Tarjan pass, then the low-link kernel inside its SCCs."""
-    scc_of = _scc_class_of(g, skip)  # before the neighbour list is built
-    return _low_link_class_of(_neighbours(g), scc_of, skip)
+    return _low_link_class_of(g, _scc_class_of(g, skip), skip)
 
 
 def twinless_strongly_connected_components(g: Digraph) -> Partition:
@@ -233,7 +224,7 @@ def condensation_tscc(g: Digraph) -> CondensationTree:
     scc_of = _scc_class_of(g)  # one Tarjan pass: precondition and kernel
     if any(scc_of):
         raise PreconditionError("input is not strongly connected")
-    p = Partition(_low_link_class_of(_neighbours(g), scc_of))
+    p = Partition(_low_link_class_of(g, scc_of))
     twin = g._twin
     crossing: dict[tuple[int, int], list[TwinPair]] = {}
     for a in g.arcs:

@@ -41,9 +41,9 @@ connected subtrees of that tree leave U - X 2-edge-connected (a
 certificate in O((n + m) log n) plus O((|X| + children) log n) per set,
 read at the vertex X contracts to; only the block algorithms build it,
 and only when at least ceil(log2 n) distinct sets other than V - {0}
-reach it).  A set X it refuses is asked about again with its peel P
-(``_peel``): the vertices removed from U - X, in turn, for having at most
-one neighbour left.  None of them is on a cycle of U - X, since the first
+reach it).  Each set X is asked about once, with its peel P (``_peel``):
+the vertices removed from U - X, in turn, for having at most one
+neighbour left.  None of them is on a cycle of U - X, since the first
 removed from a cycle still had two neighbours there, so each is a
 2-edge-connected class of U - X of its own, and the rest is one class when
 X + P passes.  Only the other splits take a full low-link pass.
@@ -421,8 +421,8 @@ class _CutTree:
         """A query for the cuts X (sequences of vertices) that are connected
         subtrees of the DFS tree T, the root left out, and leave U - X
         2-edge-connected: it is built in O((n + m) log n) and answers one
-        cut in O((|X| + children) log n), so a caller can ask again after
-        a refusal.
+        cut in O((|X| + children) log n), so a caller can ask about many
+        cuts.
 
         X is a connected subtree when exactly one member, its top r, has
         its parent outside X.  Contracting X to one vertex x* turns U into

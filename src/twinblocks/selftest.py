@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from .core import parse_edge_list, remove_arcs, twin_pairs
 from .partition import Partition, partition_meet
-from .connectivity import (_low_link_class_of, _neighbours, _split_class_of,
+from .connectivity import (_low_link_class_of, _split_class_of,
                            _tscc_class_of, is_twinless_strongly_connected,
                            twinless_strongly_connected_components)
 from .cuts import _bridge_report, _peel, strong_bridges, twinless_bridges
@@ -114,14 +114,13 @@ def run_selftest(out=print) -> int:
         splits = dict(zip(non_strong, tree.rings(h, non_strong)))
         cuts = {e: tuple(seps.cut_off(e)) for e in rep.strong_bridges}
         passes = tree.certified(h)
-        nbrs = _neighbours(h)
         for e, cut in cuts.items():
             peel = [] if passes(cut) else _peel(h, cut)
             if passes(cut + tuple(peel)):
                 multi += len(cut) > 1
                 peeled += bool(peel)
                 splits[e] = _low_link_class_of(
-                    nbrs, _split_class_of(h, cut, e), e, cut)
+                    h, _split_class_of(h, cut, e), e, cut)
                 for i, p in enumerate(peel, 2):
                     splits[e][p] = -i
         if any(Partition(class_of) != Partition(_tscc_class_of(h, e))

@@ -15,9 +15,8 @@ from twinblocks import (BlockSet, BudgetError, Digraph, GeneratorConfig,
 from twinblocks import blocks as blocks_mod
 from twinblocks import connectivity as connectivity_mod
 from twinblocks.blocks import _meet, _scc_splits
-from twinblocks.connectivity import (_low_link_class_of, _neighbours,
-                                     _scc_class_of, _split_class_of,
-                                     _tscc_class_of)
+from twinblocks.connectivity import (_low_link_class_of, _scc_class_of,
+                                     _split_class_of, _tscc_class_of)
 from twinblocks.cuts import _bridge_report, _Separations
 from twinblocks.fixtures import C3, G_DEMO19, G_GADGET, K3B, P2
 
@@ -256,13 +255,12 @@ def test_localized_stream_equals_full_passes():
         for sub in _components(g, twinless_strongly_connected_components(g)):
             rep, seps = _bridge_report(sub)
             assert seps.strong_bridges() == rep.strong_bridges
-            nbrs = _neighbours(sub)
             splits = {}
             cuts = ((e, seps.cut_off(e)) for e in sorted(rep.strong_bridges))
             for e, _cut, scc_of in _scc_splits(sub, cuts):
                 splits[e] = Partition(scc_of)
                 assert splits[e] == Partition(_scc_class_of(sub, e))
-                assert _low_link_class_of(nbrs, scc_of, e) == \
+                assert _low_link_class_of(sub, scc_of, e) == \
                     _tscc_class_of(sub, e)
             # the ring splits cover exactly the twinless bridges that are
             # not strong, each with its full TSCC pass

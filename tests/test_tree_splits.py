@@ -19,8 +19,8 @@ from twinblocks import (GeneratorConfig, Partition, UndirectedGraph,
                         underlying_graph)
 from twinblocks import blocks as blocks_mod
 from twinblocks.blocks import BlockSet, _two_edge_block_partition
-from twinblocks.connectivity import (_low_link_class_of, _neighbours,
-                                     _split_class_of, _tscc_class_of)
+from twinblocks.connectivity import (_low_link_class_of, _split_class_of,
+                                     _tscc_class_of)
 from twinblocks.cuts import _bridge_report, _CutTree, _peel
 from twinblocks.fixtures import C3, G_DEMO19, G_GADGET, K3B, P2
 
@@ -50,31 +50,30 @@ def _tscc_inputs():
 TSCC_INPUTS = _tscc_inputs()
 
 
-def _outside_stays_one_class(nbrs, n: int, cut) -> bool:
+def _outside_stays_one_class(g, cut) -> bool:
     """The kernel with the vertices of ``cut`` set apart leaves the rest
     one class."""
-    scc_of = [0] * n
+    scc_of = [0] * g.n
     for x in cut:
         scc_of[x] = 1
-    class_of = _low_link_class_of(nbrs, scc_of)
-    return len({class_of[v] for v in range(n) if not scc_of[v]}) == 1
+    class_of = _low_link_class_of(g, scc_of)
+    return len({class_of[v] for v in range(g.n) if not scc_of[v]}) == 1
 
 
-def _stays_two_edge_connected(nbrs, n: int, x: int) -> bool:
+def _stays_two_edge_connected(g, x: int) -> bool:
     """The kernel with x set apart leaves V - {x} one class."""
-    return _outside_stays_one_class(nbrs, n, {x})
+    return _outside_stays_one_class(g, {x})
 
 
 def test_certificate_equals_kernel_on_every_vertex():
     outcomes = [0, 0]
     for g in TSCC_INPUTS:
         seps = _bridge_report(g)[1]
-        nbrs = _neighbours(g)
         passes = seps.cut_tree.certified(g)
         certified = {x for x in range(g.n) if passes((x,))}
         assert 0 not in certified
         for x in range(1, g.n):
-            ok = _stays_two_edge_connected(nbrs, g.n, x)
+            ok = _stays_two_edge_connected(g, x)
             assert (x in certified) == ok, (g, x)
             outcomes[ok] += 1
     assert min(outcomes) > 4000
@@ -113,13 +112,12 @@ def test_certificate_equals_kernel_on_connected_subtrees():
         drawn = {_random_subtree(rng, kids, g.n) for _ in range(6)}
         passes = tree.certified(g)
         certified = {cut for cut in strong | drawn if passes(cut)}
-        nbrs = _neighbours(g)
         for kind, cuts in (("strong", strong), ("random", drawn)):
             for cut in cuts:
                 if _subtree_top(tree.parent, cut) < 0:
                     assert cut not in certified, (g, cut)
                     continue
-                ok = _outside_stays_one_class(nbrs, g.n, cut)
+                ok = _outside_stays_one_class(g, cut)
                 assert (cut in certified) == ok, (g, cut)
                 outcomes[kind][ok] += 1
     strong, drawn = outcomes["strong"], outcomes["random"]
@@ -151,18 +149,22 @@ def test_peeled_certificate_equals_kernel():
         strong = {tuple(seps.cut_off(e)) for e in rep.strong_bridges}
         drawn = {_random_subtree(rng, kids, g.n) for _ in range(6)}
         passes = tree.certified(g)
-        nbrs = _neighbours(g)
         for cut in strong | drawn:
-            if passes(cut):
-                continue  # only a refused cut is peeled
             peel = _peel(g, cut)
+            if passes(cut):
+                # U - X is 2-edge-connected and simple, so unless it is
+                # vertex 0 alone it has three vertices or more, each with
+                # two neighbours: nothing is peeled
+                assert peel == ([0] if len(cut) == g.n - 1 else []), (g, cut)
+                outcomes["passed as it is"] += 1
+                continue
             assert len(set(peel)) == len(peel), (g, cut)
             assert set(peel) == _model_peel(g, cut), (g, cut)
             # the kernel with X set apart: each vertex of P is alone
             scc_of = [0] * g.n
             for x in cut:
                 scc_of[x] = 1
-            class_of = _low_link_class_of(nbrs, scc_of)
+            class_of = _low_link_class_of(g, scc_of)
             sizes = Counter(class_of[v] for v in range(g.n) if not scc_of[v])
             assert all(sizes[class_of[p]] == 1 for p in peel), (g, cut)
             whole = cut + tuple(peel)
@@ -176,6 +178,7 @@ def test_peeled_certificate_equals_kernel():
             assert passes(whole) == ok, (g, cut)
             outcomes[ok, bool(peel)] += 1
     assert outcomes[True, True] >= 500, outcomes
+    assert outcomes["passed as it is"] >= 500, outcomes
     assert min(outcomes[False, True], outcomes["not a subtree"]) >= 20
 
 
@@ -267,20 +270,30 @@ SPARSE_ANY = random_digraph(GeneratorConfig(
 
 def test_kernel_runs_once_per_fallback_split(monkeypatch):
     g = SPARSE_ANY
-    full, local, built = [], [], []
+    full, local, built, asked, peeled = [], [], [], [], []
 
-    def counted_kernel(nbrs, scc_of, skip=-1, roots=None):
+    def counted_kernel(h, scc_of, skip=-1, roots=None):
         (full if roots is None else local).append(skip)
-        return _low_link_class_of(nbrs, scc_of, skip, roots)
+        return _low_link_class_of(h, scc_of, skip, roots)
 
     certified = _CutTree.certified
 
     def counted_certified(self, *args):
         built.append(args)
-        return certified(self, *args)
+        query = certified(self, *args)
+
+        def counted_query(cut):
+            asked.append(cut)
+            return query(cut)
+        return counted_query
+
+    def counted_peel(h, cut):
+        peeled.append(tuple(cut))
+        return _peel(h, cut)
 
     monkeypatch.setattr(blocks_mod, "_low_link_class_of", counted_kernel)
     monkeypatch.setattr(_CutTree, "certified", counted_certified)
+    monkeypatch.setattr(blocks_mod, "_peel", counted_peel)
     gated = fell_back = walked = 0
     for cls in twinless_strongly_connected_components(g).classes:
         if len(cls) < 3:
@@ -312,6 +325,12 @@ def test_kernel_runs_once_per_fallback_split(monkeypatch):
         local.clear()
         _stream(sub)
         assert len(built) == gate
+        # past the gate, one peel and then one query, about X with its
+        # peel, per distinct cut X other than V - {0}
+        cuts = {tuple(cut) for _scc, cut in splits.values()
+                if len(cut) < sub.n - 1}
+        assert sorted(peeled) == (sorted(cuts) if gate else [])
+        assert asked == [cut + tuple(_peel(sub, cut)) for cut in peeled]
         # one full pass per fallback split and one local pass per certified
         # split with a larger SCC; none for a non-strong bridge
         assert len(full) == len(fallbacks)
@@ -325,8 +344,10 @@ def test_kernel_runs_once_per_fallback_split(monkeypatch):
         full.clear()
         local.clear()
         built.clear()
+        asked.clear()
+        peeled.clear()
         tetb_alg2_refine(sub, "faithful")  # ring splits only
-        assert full == local == built == []
+        assert full == local == built == asked == peeled == []
     assert gated >= 1 and fell_back >= 1 and walked >= 1
 
 
