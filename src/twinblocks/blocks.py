@@ -38,12 +38,13 @@ running class ids into one O(n) ``Partition``.
 
 Two algorithms are provided for the twinless variant.  The matrix
 transcription (``tetb_alg1_matrix``) marks separated pairs in an n-by-n
-boolean table and reads blocks off as components of the never-separated
-graph.  The refinement form (``tetb_alg2_refine``) meets the partitions:
-its default "safe" mode over every twinless bridge alone, its "faithful"
-mode from the 2-edge blocks over the twinless bridges that are not strong
-bridges; that skip is only sound on graphs without strong bridges (see the
-G_GADGET fixture for the counterexample the test suite pins down).
+boolean table, in which each row stays its vertex's class, and reads
+blocks off as the groups of equal rows.  The refinement form
+(``tetb_alg2_refine``) meets the partitions: its default "safe" mode over
+every twinless bridge alone, its "faithful" mode from the 2-edge blocks
+over the twinless bridges that are not strong bridges; that skip is only
+sound on graphs without strong bridges (see the G_GADGET fixture for the
+counterexample the test suite pins down).
 ``threads`` is accepted for compatibility and ignored.
 """
 from __future__ import annotations
@@ -68,12 +69,10 @@ _ALGORITHMS = ("alg1", "alg2-safe", "alg2-faithful")
 class SeparationMatrix:
     """n-by-n boolean table over vertex pairs, 1 until a removal separates.
 
-    Rows are machine-word bitsets.  The diagonal never clears, and because
-    every update intersects a row with the mask of the row's own partition
-    class, the table stays symmetric.  The two-sided pair test (A[v,w] and
-    A[w,v]) is realized as an explicit symmetry assertion before the
-    component sweep wherever that scan is cheap; the sweep itself then
-    reads single rows.
+    Rows are machine-word bitsets.  Every update intersects a row with the
+    mask of the row's own partition class, so each row stays the mask of
+    its vertex's class: the diagonal never clears and the table stays
+    symmetric and transitive.
     """
 
     __slots__ = ("n", "rows")
@@ -101,47 +100,17 @@ class SeparationMatrix:
                 left = True
         return left
 
-    def assert_symmetric(self) -> None:
-        rows = self.rows
-        for v in range(self.n):
-            f = rows[v]
-            while f:
-                low = f & -f
-                w = low.bit_length() - 1
-                f ^= low
-                if not rows[w] >> v & 1:
-                    raise GraphError("internal: separation matrix asymmetric")
-
     def never_separated_components(self) -> list[frozenset[int]]:
-        """Connected components of the pair graph on {(v,w): A[v,w]=A[w,v]=1},
-        size > 1 only."""
+        """The never-separated classes of size > 1, as the groups of equal
+        rows.  Each row is its vertex's class by construction; every group
+        is checked against its row at every n, which implies the diagonal,
+        symmetry and transitivity."""
         rows = self.rows
-        if self.n <= 1024:
-            self.assert_symmetric()
-        visited = 0
         out: list[frozenset[int]] = []
-        for v in range(self.n):
-            if visited >> v & 1:
-                continue
-            comp = 0
-            frontier = 1 << v
-            while frontier:
-                comp |= frontier
-                nxt = 0
-                f = frontier
-                while f:
-                    low = f & -f
-                    w = low.bit_length() - 1
-                    f ^= low
-                    nxt |= rows[w]
-                frontier = nxt & ~comp
-            visited |= comp
-            members = []
-            f = comp
-            while f:
-                low = f & -f
-                members.append(low.bit_length() - 1)
-                f ^= low
+        for members in Partition(rows).classes:
+            if rows[members[0]] != sum(1 << v for v in members):
+                raise GraphError("internal: separation matrix row is not "
+                                 "the class of its members")
             if len(members) > 1:
                 out.append(frozenset(members))
         return out
@@ -356,11 +325,13 @@ def tetb_alg1_matrix(g: Digraph, threads: int = 1) -> BlockSet:
 
     For each twinless bridge, every vertex pair landing in distinct
     twinless strongly connected components of the reduced graph is marked
-    separated; blocks are the size->=2 components of the never-separated
-    pair graph.  Rows are machine-word bitsets, so the marking pass costs
-    O(n^2 / wordsize) per bridge; it stops once no pair of distinct
-    vertices is left, which no later bridge could change.  The budget
-    refusal comes before the precondition check in ``bridge_report``.
+    separated; each row is its vertex's class by construction, so blocks
+    are the size->=2 groups of equal rows, each checked against its
+    members at every n.  Rows are machine-word bitsets, so the marking
+    pass costs O(n^2 / wordsize) per bridge; it stops once no pair of
+    distinct vertices is left, which no later bridge could change.  The
+    budget refusal comes before the precondition check in
+    ``bridge_report``.
     """
     if g.n > MATRIX_VERTEX_BUDGET:
         raise BudgetError(

@@ -226,10 +226,8 @@ class _Separations:
         return frozenset(compress(count(), self.side))
 
     def cut_off(self, e: int) -> list[int]:
-        """X_e in ascending order; empty when e is not a strong bridge."""
+        """X_e in ascending order."""
         side = self.side[e]
-        if not side:
-            return []
         u, v, _ = self.arcs[e]
         parts = []
         for bit, w, (by_pre, pre, size) in zip((1, 2), (v, u), self.trees):

@@ -125,6 +125,18 @@ def path_fan(n: int) -> Digraph:
     return _numbered(n, arcs)
 
 
+def dominator_fan(k: int) -> Digraph:
+    """The path 0 -> ... -> k plus k fan vertices x, each with the arcs
+    0 -> x (listed after 0 -> 1), k -> x and x -> 0.  A depth-first search
+    from 0 walks the whole path before any fan vertex, so an idom climb
+    that walks the path for each fan vertex takes k^2 steps.  Twinless
+    strongly connected; b_s = 10 and b_t = 15 at k = 5."""
+    arcs = [(v, v + 1) for v in range(k)]
+    for x in range(k + 1, 2 * k + 1):
+        arcs += [(0, x), (k, x), (x, 0)]
+    return _numbered(2 * k + 1, arcs)
+
+
 def blob_chain(k: int, size: int) -> Digraph:
     """k bidirected cliques of ``size`` >= 3 vertices in a row; neighbouring
     cliques are joined by one twin pair and one unpaired forward arc, so

@@ -483,9 +483,24 @@ def test_separation_matrix():
     assert m.entry(0, 1) and m.entry(2, 3)
     assert not m.entry(0, 2) and not m.entry(3, 1)
     assert all(m.entry(v, v) for v in range(4))  # diagonal never clears
-    m.assert_symmetric()
+    assert m.never_separated_components() == [frozenset({0, 1}),
+                                              frozenset({2, 3})]
     m.separate_across(Partition([0, 1, 1, 1]))
     assert m.never_separated_components() == [frozenset({2, 3})]
+
+
+@pytest.mark.parametrize("n, rows", [
+    (3, lambda full: [0b011, 0b111, 0b110]),  # symmetric, not transitive
+    (1100, lambda full: [full ^ 0b10] + [full] * 1099),  # 0 in 1's row only
+    (3, lambda full: [0b110, 0b111, 0b111]),  # row 0 lacks its own bit
+], ids=["intransitive", "asymmetric-large", "no-diagonal"])
+def test_never_separated_components_rejects_rows_that_are_not_classes(
+        n, rows):
+    m = SeparationMatrix(n)
+    m.separate_across(Partition([0] * n))
+    m.rows = rows((1 << n) - 1)
+    with pytest.raises(GraphError, match="separation matrix"):
+        m.never_separated_components()
 
 
 def test_separation_matrix_universe_mismatch():

@@ -15,9 +15,9 @@ from twinblocks.cuts import _CutTree, _immediate_dominators, _Separations
 from twinblocks.fixtures import (C3, DEMO19_EDGE_TEXT, G_DEMO19, G_GADGET,
                                 K3B, P2)
 
-from helpers import (blob_chain, cycle, labels_of_arcs, naive_strong_bridges,
-                     naive_twinless_bridges, path_fan, shuffled,
-                     tsc_instances)
+from helpers import (blob_chain, cycle, dominator_fan, labels_of_arcs,
+                     naive_strong_bridges, naive_twinless_bridges, path_fan,
+                     shuffled, tsc_instances)
 
 
 def test_strong_bridges_examples():
@@ -148,7 +148,7 @@ def test_precondition_matches_reference(analysis):
 
 def test_bridges_match_definitional_recheck_on_fixtures():
     for g in (C3, K3B, G_DEMO19, G_GADGET, cycle(8), path_fan(9),
-              blob_chain(3, 3), blob_chain(2, 4)):
+              blob_chain(3, 3), blob_chain(2, 4), dominator_fan(5)):
         assert strong_bridges(g) == naive_strong_bridges(g)
         assert twinless_bridges(g) == naive_twinless_bridges(g)
 
@@ -199,7 +199,8 @@ def test_dominators_match_bruteforce_in_both_directions():
     graphs += [random_digraph(GeneratorConfig(
         n_range=(8, 20), m_range=(10, 45), twin_density=0.2, seed=seed,
         shape="any")) for seed in range(40)]
-    graphs += [G_DEMO19, G_GADGET, path_fan(15), blob_chain(3, 3)]
+    graphs += [G_DEMO19, G_GADGET, path_fan(15), blob_chain(3, 3),
+               dominator_fan(6)]
     graphs += [shuffled(g, seed) for seed, g in enumerate(graphs)]
     for g in graphs:
         for succ, pred in ((g.out_pairs, g.in_pairs),
