@@ -14,32 +14,32 @@ SCC of vertex 0; a Tarjan pass over G[X_e] - e gives the rest of the SCC
 split of G - e, and a twinless bridge that is not strong leaves G - e
 strongly connected.  The 2-edge blocks meet these splits directly.  The
 twinless variant reads most of its splits off the DFS tree T of the
-underlying graph U that the bridge report's 2-cut pass keeps: a twinless
-bridge that is not strong gets the preorder rings of its 2-cut class in
-O(n), and a strong bridge whose X_e leaves U - X_e 2-edge-connected keeps
-V - X_e one class, so a low-link pass over X_e alone finishes its split.
-That is so when X_e = V - {0}, and when a certificate built once per graph
-says so for an X_e that is a connected subtree of T; it costs
-O((n + m) log n) and is built only when at least ceil(log2 n) distinct
-X_e other than V - {0} reach it.  Each such cut is peeled first and
-asked about once: P, the vertices removed from U - X_e, in turn, for
-having at most one neighbour left, lies on no cycle of U - X_e (the first
-of them removed from a cycle still had two neighbours on it), so each
-vertex of P is a class of its own; when the certificate passes X_e + P,
-V - X_e - P is one class and the split is local, with P set apart.  P is
-empty when U - X_e is 2-edge-connected already.  Only the other splits
-run a full undirected low-link pass, on the digraph's own arcs, skipping
-a strong bridge whose split repeats an earlier one.  Full undirected
-passes therefore number only these fallbacks, plus O(sum of |G[X_e]|)
-local work, which is quadratic on nested cuts such as a directed cycle;
-every algorithm stops once no later split can change its result.  A
+underlying graph U that the bridge report's 2-cut pass keeps: the twinless
+bridges that are not strong are met as one O(n) split, their 2-cut classes
+cut out of T, and a strong bridge whose X_e leaves U - X_e
+2-edge-connected keeps V - X_e one class, so a low-link pass over X_e
+alone finishes its split.  That is so when X_e = V - {0}, and when a
+certificate built once per graph says so for an X_e that is a connected
+subtree of T; it costs O((n + m) log n) and is built only when at least
+ceil(log2 n) distinct X_e other than V - {0} reach it.  Each such cut is
+peeled first and asked about once: P, the vertices removed from U - X_e,
+in turn, for having at most one neighbour left, lies on no cycle of
+U - X_e (the first of them removed from a cycle still had two neighbours
+on it), so each vertex of P is a class of its own; when the certificate
+passes X_e + P, V - X_e - P is one class and the split is local, with P
+set apart.  P is empty when U - X_e is 2-edge-connected already.  Only the
+other splits run a full undirected low-link pass, on the digraph's own
+arcs, skipping a strong bridge whose split repeats an earlier one.  Full
+undirected passes therefore number only these fallbacks, plus O(sum of
+|G[X_e]|) local work, which is quadratic on nested cuts such as a directed
+cycle; every algorithm stops once no later split can change its result.  A
 split stays a plain class list up to the meet, which zips it with the
 running class ids into one O(n) ``Partition``.
 
 Two algorithms are provided for the twinless variant.  The matrix
 transcription (``tetb_alg1_matrix``) marks separated pairs in an n-by-n
 boolean table, in which each row stays its vertex's class, and reads
-blocks off as the groups of equal rows.  The refinement form
+blocks off as the vertices grouped by row.  The refinement form
 (``tetb_alg2_refine``) meets the partitions: its default "safe" mode over
 every twinless bridge alone, its "faithful" mode from the 2-edge blocks
 over the twinless bridges that are not strong bridges; that skip is only
@@ -101,14 +101,16 @@ class SeparationMatrix:
         return left
 
     def never_separated_components(self) -> list[frozenset[int]]:
-        """The never-separated classes of size > 1, as the groups of equal
-        rows.  Each row is its vertex's class by construction; every group
-        is checked against its row at every n, which implies the diagonal,
-        symmetry and transitivity."""
+        """The never-separated classes of size > 1: vertices grouped by the
+        lowest set bit of their rows, a small-int key, each member's row
+        checked against its group's mask at every n.  That implies the
+        diagonal, symmetry and transitivity; a one-bit big-int row would
+        hash to one of 61 values."""
         rows = self.rows
         out: list[frozenset[int]] = []
-        for members in Partition(rows).classes:
-            if rows[members[0]] != sum(1 << v for v in members):
+        for members in Partition((r & -r).bit_length() for r in rows).classes:
+            mask = sum(1 << v for v in members)
+            if any(rows[v] != mask for v in members):
                 raise GraphError("internal: separation matrix row is not "
                                  "the class of its members")
             if len(members) > 1:
@@ -198,11 +200,13 @@ def _scc_splits(g: Digraph, cuts):
 
 
 def _tscc_stream(g: Digraph, seps: _Separations, bridges):
-    """TSCC classes of g minus each bridge, met in any order, from the DFS
-    tree T of the underlying graph U that the bridge report kept.
+    """TSCC classes of g minus each bridge, some met already, to be met in
+    any order, from the DFS tree T of the underlying graph U that the
+    bridge report kept.
 
-    * A twinless bridge that is not a strong bridge gets the preorder
-      rings of its 2-cut class of U, read off the tree with no traversal.
+    * The twinless bridges that are not strong bridges give one split,
+      the meet of their TSCC splits: ``_CutTree.rings`` cuts their 2-cut
+      classes of U out of T in one preorder pass, with no traversal.
     * A strong bridge e splits g into V - X_e, cut by the 2-edge-connected
       classes of U - X_e, and the TSCCs of G[X_e] - e (e has an end in
       X_e, so U - X_e is all the kernel sees outside X_e).  When U - X_e
@@ -241,7 +245,9 @@ def _tscc_stream(g: Digraph, seps: _Separations, bridges):
         return
     n = g.n
     tree = seps.cut_tree
-    yield from tree.rings(g, sorted(e for e in bridges if not seps.side[e]))
+    ring = [e for e in bridges if not seps.side[e]]
+    if ring:
+        yield tree.rings(g, ring)
     groups: dict[tuple[int, ...], list[int]] = {}  # X_e -> its bridges
 
     def whole():

@@ -35,18 +35,19 @@ Every bridge query builds both dominator-tree preorders once, in one
 vertex 0; ``blocks`` reads its per-bridge SCC splits from them instead of
 running Tarjan's algorithm once per bridge.  A bridge report keeps the DFS
 tree of its 2-cut pass there too (``_CutTree``), and ``blocks`` reads from
-it the TSCC split of each twinless bridge that is not strong (the preorder
-rings of its 2-cut class, O(n) each) and which cut-off sets X that are
-connected subtrees of that tree leave U - X 2-edge-connected (a
-certificate in O((n + m) log n) plus O((|X| + children) log n) per set,
-read at the vertex X contracts to; only the block algorithms build it,
-and only when at least ceil(log2 n) distinct sets other than V - {0}
-reach it).  Each set X is asked about once, with its peel P (``_peel``):
-the vertices removed from U - X, in turn, for having at most one
-neighbour left.  None of them is on a cycle of U - X, since the first
-removed from a cycle still had two neighbours there, so each is a
-2-edge-connected class of U - X of its own, and the rest is one class when
-X + P passes.  Only the other splits take a full low-link pass.
+it the meet of the TSCC splits of all twinless bridges that are not strong
+(their 2-cut classes cut out of the tree, one O(n) split) and which
+cut-off sets X that are connected subtrees of that tree leave U - X
+2-edge-connected (a certificate in O((n + m) log n) plus
+O((|X| + children) log n) per set, read at the vertex X contracts to; only
+the block algorithms build it, and only when at least ceil(log2 n)
+distinct sets other than V - {0} reach it).  Each set X is asked about
+once, with its peel P (``_peel``): the vertices removed from U - X, in
+turn, for having at most one neighbour left.  None of them is on a cycle
+of U - X, since the first removed from a cycle still had two neighbours
+there, so each is a 2-edge-connected class of U - X of its own, and the
+rest is one class when X + P passes.  Only the other splits take a full
+low-link pass.
 
 Arc identity (arc_id), not the endpoint pair, names a bridge; that stays
 unambiguous under antiparallel pairs.
@@ -246,6 +247,13 @@ def strong_bridges(g: Digraph, threads: int = 1) -> frozenset[int]:
     return _Separations(g).strong_bridges()
 
 
+def _find(links, i: int) -> int:
+    """The root of i in the union-find forest ``links``, halving the path."""
+    while links[i] != i:
+        links[i] = i = links[links[i]]
+    return i
+
+
 class _CutTree:
     """The DFS tree of the underlying graph U that the 2-cut pass walks,
     kept for the per-bridge TSCC splits of ``blocks``.
@@ -263,10 +271,11 @@ class _CutTree:
     So v is compared only with the last vertex w before it in preorder
     that has its key.  If an ancestor a of v has the key but w is not an
     ancestor of v, then w lies below a beside v, and the back edge giving
-    ``high[w]`` covers a but not v: a contradiction.  ``chain[v]`` is that
-    w when it is an ancestor of v, else -1: the tree edges of one 2-cut
-    class form one chain, and a class whose cover count is 1 also holds
-    that cover.
+    ``high[w]`` covers a but not v: a contradiction.  When that w is an
+    ancestor of v, ``top[v]`` is ``top[w]``, else v: the tree edges of one
+    2-cut class form one chain, named by the lower end of its highest edge.
+    A class whose cover count is 1 also holds that cover, and
+    ``unique_cover`` maps each such cover to a vertex it covers.
 
     ``unpaired`` lists the unpaired arcs whose underlying edge lies in a
     2-edge cut.  The constructor raises PreconditionError when U has a
@@ -274,7 +283,7 @@ class _CutTree:
     """
 
     __slots__ = ("parent", "pre", "order", "tout", "cnt", "acc", "high",
-                 "chain", "unpaired")
+                 "top", "unique_cover", "unpaired")
 
     def __init__(self, g: Digraph, twin: Sequence[int]) -> None:
         n = g.n
@@ -338,8 +347,8 @@ class _CutTree:
         self.cnt, self.acc, self.high = cnt, acc, high
 
         cut = bytearray(n)  # the tree edge into v lies in a 2-edge cut
-        links = array("i", [-1]) * n
-        unique_cover: set[int] = set()
+        top = array("i", range(n))
+        unique_cover: dict[int, int] = {}  # cover arc id -> a vertex it covers
         last: dict[tuple[int, int], int] = {}
         for v in order[1:]:
             c = cnt[v]
@@ -348,14 +357,14 @@ class _CutTree:
                     "input is not twinless strongly connected")
             if c == 1:
                 cut[v] = 1
-                unique_cover.add(acc[v])
+                unique_cover[acc[v]] = v
             key = (c, high[v])
             u = last.get(key)
             if u is not None and disc[v] <= tout[u]:
                 cut[u] = cut[v] = 1
-                links[v] = u
+                top[v] = top[u]
             last[key] = v
-        self.chain = links
+        self.top, self.unique_cover = top, unique_cover
         self.unpaired = [aid for s, t, aid in g.arcs if twin[aid] < 0 and (
             cut[t] if parent[t] == s else cut[s] if parent[s] == t
             else aid in unique_cover)]
@@ -369,51 +378,39 @@ class _CutTree:
                 continue  # tree edge, or the twin stands for this edge
             yield (s, t, aid) if disc[s] > disc[t] else (t, s, aid)
 
-    def rings(self, g: Digraph, bridges):
-        """components(U - C) as a class list for each arc of ``bridges``,
-        with C the 2-cut class of its underlying edge; O(n) each, no
-        traversal.
+    def rings(self, g: Digraph, bridges) -> list[int]:
+        """The meet of components(U - C) over the 2-cut classes C of U that
+        hold the underlying edge of an arc of ``bridges``, as one class
+        list: one preorder pass plus union-find, no traversal.
 
-        For an unpaired arc e of a twinless strongly connected graph g
-        that is not a strong bridge, g - e stays strongly connected, so
-        its TSCC classes are the 2-edge-connected classes of U - e, that
-        is components(U - C).  No two such arcs share a class: the other
-        one would be a bridge of U - e that one arc carries.
-
-        Let v_1 (deepest) ... v_k be the lower ends of C's tree edges.
-        U - C falls apart into subtree(v_1), the rings subtree(v_{i+1}) -
-        subtree(v_i) and V - subtree(v_k); with cover count 2 or more the
-        covers of v_1 join subtree(v_1) to the outer part, and with cover
-        count 1 that cover is in C.  Each subtree is an interval of
-        preorder numbers, so a part is read off as how many of the k
-        subtrees hold a vertex.
+        For an unpaired arc e of a twinless strongly connected graph g that
+        is not a strong bridge, g - e stays strongly connected, so its TSCC
+        classes are components(U - C).  Let v_1 (deepest) ... v_k be the
+        lower ends of C's tree edges: U - C is T with those edges cut, plus
+        the join of subtree(v_1) to the part above v_k by v_1's covers when
+        there are 2 or more (with one, that cover is in C).  A join holds in
+        U - C' for every other chosen C' too: if a tree edge of C' lies
+        between v_1 and v_k, all of them do and v_1's covers are among
+        C''s, so C' joins its innermost subtree, which holds v_1, to its
+        outer part, which holds the vertex above v_k.
         """
-        parent, pre, tout, cnt, links = (self.parent, self.pre, self.tout,
-                                         self.cnt, self.chain)
-        n = len(parent)
-        below = [-1] * n
-        for v, u in enumerate(links):
-            if u >= 0:
-                below[u] = v
-        by_cover = {self.acc[v]: v for v in self.order[1:] if cnt[v] == 1}
+        parent, top = self.parent, self.top
+        deepest = {}  # per chosen class, by its top: its deepest lower end
         for e in bridges:
             s, t, _ = g.arcs[e]
-            v = t if parent[t] == s else s if parent[s] == t else by_cover[e]
-            while links[v] >= 0:
-                v = links[v]
-            inside = [0] * (n + 1)  # +1 where a subtree starts, -1 after
-            k = 0
-            while v >= 0:
-                inside[pre[v]] += 1
-                inside[tout[v] + 1] -= 1
-                k += 1
-                deepest = v
-                v = below[v]
-            depth = list(accumulate(inside))
-            if cnt[deepest] > 1:
-                yield [depth[p] % k for p in pre]
+            v = (t if parent[t] == s else s if parent[s] == t
+                 else self.unique_cover[e])
+            deepest[top[v]] = v
+        piece = list(range(len(parent)))  # union-find over the pieces of T
+        for v in self.order[1:]:
+            if top[v] in deepest:
+                deepest[top[v]] = v  # the deepest comes last in preorder
             else:
-                yield [depth[p] for p in pre]
+                piece[v] = piece[parent[v]]
+        for u, v in deepest.items():
+            if self.cnt[u] > 1:
+                piece[v] = _find(piece, parent[u])
+        return [_find(piece, x) for x in range(len(parent))]
 
     def certified(self, g: Digraph):
         """A query for the cuts X (sequences of vertices) that are connected
@@ -488,11 +485,11 @@ class _CutTree:
         del ups
         width = 1
         while width < n:
-            below = levels[-1]
+            finer = levels[-1]
             width *= 2
             level = array("i")
             for s in range(0, n, width):
-                level.extend(sorted(below[start[s]:start[min(s + width, n)]]))
+                level.extend(sorted(finer[start[s]:start[min(s + width, n)]]))
             levels.append(level)
 
         def up_edges(c: int, t: int) -> tuple[int, int, int]:
@@ -571,11 +568,6 @@ class _CutTree:
                     u = w
             return parent[u]
 
-        def find(links, i: int) -> int:
-            while links[i] != i:
-                links[i] = i = links[links[i]]
-            return i
-
         # M(q) from one sweep: position p is live while low_at[p] < t, then
         # the vertex there is the lower end of a back edge reaching above
         # preorder number t; the q with M(q) = y are listed from first_q[y]
@@ -590,7 +582,7 @@ class _CutTree:
                 nxt[p] = p + 1
                 prv[p + 1] = p
             q = order[t]
-            m = nca(order[find(nxt, t)], order[find(prv, tout[q] + 1) - 1])
+            m = nca(order[_find(nxt, t)], order[_find(prv, tout[q] + 1) - 1])
             next_q[q] = first_q[m]
             first_q[m] = q
         del nxt, prv, dying
@@ -603,7 +595,7 @@ class _CutTree:
         for q in sorted(order[1:], key=low.__getitem__, reverse=True):
             x = parent[q]
             while True:
-                x = find(jump, x)
+                x = _find(jump, x)
                 if pre[x] <= high[q]:
                     break
                 reach[x] = low[q]

@@ -111,7 +111,7 @@ def run_selftest(out=print) -> int:
         rep, seps = _bridge_report(h)
         tree = seps.cut_tree
         non_strong = sorted(rep.twinless_bridges - rep.strong_bridges)
-        splits = dict(zip(non_strong, tree.rings(h, non_strong)))
+        splits = {e: tree.rings(h, [e]) for e in non_strong}
         cuts = {e: tuple(seps.cut_off(e)) for e in rep.strong_bridges}
         passes = tree.certified(h)
         for e, cut in cuts.items():

@@ -20,8 +20,9 @@ from twinblocks.connectivity import (_low_link_class_of, _scc_class_of,
 from twinblocks.cuts import _bridge_report, _Separations
 from twinblocks.fixtures import C3, G_DEMO19, G_GADGET, K3B, P2
 
-from helpers import (any_instances, blob_chain, cycle, label_blocks,
-                     labels_of_arcs, path_fan, shuffled, tsc_instances)
+from helpers import (any_instances, blob_chain, cycle, dominator_fan,
+                     label_blocks, labels_of_arcs, path_fan, shuffled,
+                     tsc_instances)
 
 # Four non-strong twinless bridges (e->i, h->e, a->d, f->b) in four 2-cut
 # classes of the underlying graph; b_s = 6, b_t = 10.
@@ -267,10 +268,9 @@ def test_localized_stream_equals_full_passes():
             non_strong = sorted(rep.twinless_bridges - rep.strong_bridges)
             assert non_strong == sorted(
                 e for e in rep.twinless_bridges if not seps.side[e])
-            for e, ring in zip(non_strong,
-                               seps.cut_tree.rings(sub, non_strong),
-                               strict=True):
-                assert Partition(ring) == Partition(_tscc_class_of(sub, e))
+            for e in non_strong:
+                assert Partition(seps.cut_tree.rings(sub, [e])) == \
+                    Partition(_tscc_class_of(sub, e))
             # a strong bridge is skipped iff a lower one has its SCC split,
             # and then it has that one's TSCC split too
             first = {}
@@ -331,6 +331,28 @@ def test_alg1_stops_once_no_pair_is_left(g, whole, monkeypatch):
     pulled.clear()
     assert tetb_alg1_matrix(g) == expected
     assert len(pulled) == safe == 1
+
+
+@pytest.mark.parametrize("algorithm", ["alg2-safe", "alg1"])
+def test_ring_bridges_are_met_as_one_split(algorithm, monkeypatch):
+    """dominator_fan(k) has k twinless bridges that are not strong, each
+    setting one fan vertex apart.  They are met as one split, so the stream
+    yields at most twice (that split and one V - {0} cut) at every size,
+    not k + 1 times."""
+    pulled = []
+    stream = blocks_mod._tscc_stream
+
+    def counted(*args):
+        for class_of in stream(*args):
+            pulled.append(class_of)
+            yield class_of
+
+    monkeypatch.setattr(blocks_mod, "_tscc_stream", counted)
+    for k in (100, 200, 400):
+        pulled.clear()
+        g = dominator_fan(k)
+        assert two_edge_twinless_blocks(g, algorithm) == BlockSet(frozenset())
+        assert len(pulled) <= 2, (k, len(pulled))
 
 
 @pytest.mark.parametrize("g", [cycle(9), path_fan(13)],

@@ -1,5 +1,5 @@
 """Per-bridge TSCC splits read off the DFS tree of the underlying graph:
-preorder rings for the twinless bridges that are not strong, the U - X
+one split for all the twinless bridges that are not strong, the U - X
 certificate for the strong bridges whose cut-off part X, or X with its
 peel, is a connected subtree of it, and the full low-link kernel only for
 the splits that fall back."""
@@ -12,9 +12,9 @@ import pytest
 from twinblocks import (GeneratorConfig, Partition, UndirectedGraph,
                         bridge_report, bridges_undirected,
                         connected_components, induced_subgraph,
-                        random_digraph, remove_arcs, strong_bridges,
-                        strongly_connected_components, tetb_alg1_matrix,
-                        tetb_alg2_refine, twinless_bridges,
+                        partition_meet, random_digraph, remove_arcs,
+                        strong_bridges, strongly_connected_components,
+                        tetb_alg1_matrix, tetb_alg2_refine, twinless_bridges,
                         twinless_strongly_connected_components,
                         underlying_graph)
 from twinblocks import blocks as blocks_mod
@@ -24,7 +24,7 @@ from twinblocks.connectivity import (_low_link_class_of, _split_class_of,
 from twinblocks.cuts import _bridge_report, _CutTree, _peel
 from twinblocks.fixtures import C3, G_DEMO19, G_GADGET, K3B, P2
 
-from helpers import blob_chain, cycle, path_fan, shuffled
+from helpers import blob_chain, cycle, dominator_fan, path_fan, shuffled
 from test_blocks import UNION_RULE_COUNTEREXAMPLE
 
 
@@ -183,16 +183,21 @@ def test_peeled_certificate_equals_kernel():
 
 
 def test_ring_splits_equal_full_tscc_passes():
-    checked = 0
-    for g in TSCC_INPUTS:
+    checked = multi = 0
+    for g in TSCC_INPUTS + [dominator_fan(5), dominator_fan(8)]:
         rep, seps = _bridge_report(g)
         non_strong = sorted(rep.twinless_bridges - rep.strong_bridges)
-        rings = list(seps.cut_tree.rings(g, non_strong))
-        assert len(rings) == len(non_strong)
-        for e, ring in zip(non_strong, rings):
-            assert Partition(ring) == Partition(_tscc_class_of(g, e)), (g, e)
+        part = Partition.single_class(g.n)
+        for e in non_strong:
+            full = Partition(_tscc_class_of(g, e))
+            assert Partition(seps.cut_tree.rings(g, [e])) == full, (g, e)
+            part = partition_meet(part, full)
             checked += 1
+        # every ring split at once: the fold of the full passes
+        assert Partition(seps.cut_tree.rings(g, non_strong)) == part, g
+        multi += len(non_strong) > 1
     assert checked > 500
+    assert multi > 100
 
 
 def test_no_two_non_strong_twinless_bridges_share_a_two_cut():
