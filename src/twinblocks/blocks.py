@@ -33,8 +33,12 @@ arcs, skipping a strong bridge whose split repeats an earlier one.  Full
 undirected passes therefore number only these fallbacks, plus O(sum of
 |G[X_e]|) local work, which is quadratic on nested cuts such as a directed
 cycle; every algorithm stops once no later split can change its result.  A
-split stays a plain class list up to the meet, which zips it with the
-running class ids into one O(n) ``Partition``.
+split reaches the meet as one record ``(S, ids)``: S lists, without
+repeats, the vertices outside vertex 0's class, and ``ids[v]`` the class
+of each v in S.  The meet keeps the running partition in arrays, each
+class a contiguous segment, and refines it by a record in O(|S|), so a
+split that moves few vertices costs little; one ``Partition`` is built
+when a stream ends.
 
 Two algorithms are provided for the twinless variant.  The matrix
 transcription (``tetb_alg1_matrix``) marks separated pairs in an n-by-n
@@ -51,6 +55,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 
 from .core import (Digraph, GraphError, BudgetError, PreconditionError,
@@ -69,10 +74,12 @@ _ALGORITHMS = ("alg1", "alg2-safe", "alg2-faithful")
 class SeparationMatrix:
     """n-by-n boolean table over vertex pairs, 1 until a removal separates.
 
-    Rows are machine-word bitsets.  Every update intersects a row with the
-    mask of the row's own partition class, so each row stays the mask of
-    its vertex's class: the diagonal never clears and the table stays
-    symmetric and transitive.
+    Rows are machine-word bitsets, and each row stays the mask of its
+    vertex's class: the diagonal never clears and the table stays
+    symmetric and transitive.  ``separate_across`` intersects every row
+    with the mask of its class in a ``Partition``; ``rewrite`` sets only
+    the rows of the classes one ``_Refinement`` record changed, each
+    class's members sharing one int.
     """
 
     __slots__ = ("n", "rows")
@@ -99,6 +106,24 @@ class SeparationMatrix:
             if not left and row & (row - 1):  # a bit besides v's own
                 left = True
         return left
+
+    def rewrite(self, part: _Refinement, made) -> None:
+        """Rows for the ``(c, k)`` pairs one ``part.refine`` returned: each
+        new class k gets the mask of its members, and each class c that
+        lost them keeps its old mask minus theirs."""
+        rows = self.rows
+        lost: dict[int, int] = {}
+        for c, k in made:
+            members = part.members(k)
+            mask = sum([1 << v for v in members])
+            for v in members:
+                rows[v] = mask
+            lost[c] = lost.get(c, 0) | mask
+        for c, mask in lost.items():
+            rest = part.members(c)
+            mask ^= rows[rest[0]]
+            for v in rest:
+                rows[v] = mask
 
     def never_separated_components(self) -> list[frozenset[int]]:
         """The never-separated classes of size > 1: vertices grouped by the
@@ -192,7 +217,9 @@ def _scc_splits(g: Digraph, cuts):
             outside.add(key)
         scc_of = _split_class_of(g, cut, e)
         if len(cut) > 1:
-            key = (*cut, *Partition([scc_of[x] for x in cut]).class_of)
+            first: dict[int, int] = {}
+            key = (*cut, *[first.setdefault(scc_of[x], len(first))
+                           for x in cut])
             if key in seen:
                 continue
             seen.add(key)
@@ -202,18 +229,21 @@ def _scc_splits(g: Digraph, cuts):
 def _tscc_stream(g: Digraph, seps: _Separations, bridges):
     """TSCC classes of g minus each bridge, some met already, to be met in
     any order, from the DFS tree T of the underlying graph U that the
-    bridge report kept.
+    bridge report kept; one ``(S, ids)`` record per split (see
+    ``_Refinement``).  Vertex 0 lies in no X_e and no accepted peel, so
+    its class is always the implicit one.
 
     * The twinless bridges that are not strong bridges give one split,
       the meet of their TSCC splits: ``_CutTree.rings`` cuts their 2-cut
-      classes of U out of T in one preorder pass, with no traversal.
+      classes of U out of T in one preorder pass, with no traversal.  S
+      is the vertices outside vertex 0's piece.
     * A strong bridge e splits g into V - X_e, cut by the 2-edge-connected
       classes of U - X_e, and the TSCCs of G[X_e] - e (e has an end in
       X_e, so U - X_e is all the kernel sees outside X_e).  When U - X_e
       is 2-edge-connected, V - X_e stays one class and the split is local:
       the SCC split of ``_scc_splits``, then a low-link pass over X_e
-      alone, skipped when every SCC there is one vertex.  That holds for
-      X_e = V - {0}.
+      alone, skipped when every SCC there is one vertex; S is X_e.  That
+      holds for X_e = V - {0}.
     * Every other cut past the gate below is peeled first (``cuts._peel``)
       and asked about once: P holds the vertices removed from U - X_e, in
       turn, for having at most one neighbour left.  The earliest removed
@@ -228,15 +258,14 @@ def _tscc_stream(g: Digraph, seps: _Separations, bridges):
       is simple and U - X_e holds vertex 0 and another vertex, so it then
       has at least three, each with two neighbours left.
     * Every other split is a fallback: the SCC split, then one full
-      low-link kernel pass.
+      low-link kernel pass; S is the vertices outside vertex 0's class.
 
     The local splits whose SCCs inside X_e are single vertices, every
     one-vertex cut among them, are met as one split with every peel, each
-    such vertex alone; a meet is idempotent, so a vertex set apart twice
-    changes nothing.  The certificate costs O((n + m) log n), about as
-    much as log n kernel passes, so it is built only when at least
-    ceil(log2 n) distinct X_e other than V - {0} reach it; a peel costs
-    O(vol(X_e + P)).  The cuts X_e = V - {0} come first, as the strong
+    such vertex alone; S lists a vertex set apart twice once.  The
+    certificate costs O((n + m) log n), about as much as log n kernel
+    passes, so it is built only when at least ceil(log2 n) distinct X_e
+    other than V - {0} reach it; a peel costs O(vol(X_e + P)).  The cuts X_e = V - {0} come first, as the strong
     bridges are met in id order, so a meet that stops early never
     enumerates the other X_e.  Every cut is asked about before the next
     kernel pass, so the certificate's tables are freed before it.
@@ -247,7 +276,8 @@ def _tscc_stream(g: Digraph, seps: _Separations, bridges):
     tree = seps.cut_tree
     ring = [e for e in bridges if not seps.side[e]]
     if ring:
-        yield tree.rings(g, ring)
+        piece = tree.rings(g, ring)
+        yield _outside(piece), piece
     groups: dict[tuple[int, ...], list[int]] = {}  # X_e -> its bridges
 
     def whole():
@@ -263,8 +293,8 @@ def _tscc_stream(g: Digraph, seps: _Separations, bridges):
 
     for e, cut, scc_of in _scc_splits(g, whole()):
         # U - X_e is vertex 0 alone; a pass over X_e leaves it class -1
-        yield (scc_of if max(scc_of) == n - 1
-               else _low_link_class_of(g, scc_of, e, cut))
+        yield cut, (scc_of if max(scc_of) == n - 1
+                    else _low_link_class_of(g, scc_of, e, cut))
     local: dict[tuple[int, ...], list[int]] = {}  # certified X_e -> peel
     if len(groups) >= (n - 1).bit_length():
         passes = tree.certified(g)
@@ -282,37 +312,114 @@ def _tscc_stream(g: Digraph, seps: _Separations, bridges):
             if len(cut) > 1 or cut not in local for e in es)
     for e, cut, scc_of in _scc_splits(g, rest):
         if cut not in local:
-            yield _low_link_class_of(g, scc_of, e)
+            class_of = _low_link_class_of(g, scc_of, e)
+            yield _outside(class_of), class_of
         elif max(scc_of) < len(cut):
-            yield _low_link_class_of(g, scc_of, e, cut)
+            yield cut, _low_link_class_of(g, scc_of, e, cut)
         else:  # every vertex of X_e is an SCC of its own
             apart += cut
-    if apart:
-        class_of = [0] * n
-        for i, x in enumerate(apart, 1):
-            class_of[x] = i
-        yield class_of
+    if apart:  # a vertex set apart twice is listed once
+        yield list(dict.fromkeys(apart)), range(n)
 
 
-def _meet(part: Partition, class_lists) -> Partition:
-    """Meet ``part`` with each class list in turn, zipping the raw list
-    into one ``Partition`` per meet; stop at all singletons, which no
-    further meet can split, so the rest of the stream is never computed."""
-    if part.num_classes < part.n:
-        for class_of in class_lists:
-            part = Partition(zip(part.class_of, class_of))
-            if part.num_classes == part.n:
-                break
-    return part
+class _Refinement:
+    """The running partition of a meet, refined in place by split records.
+
+    A record ``(S, ids)`` stands for the partition whose classes are
+    V - S, which holds vertex 0, and the vertices of S grouped by
+    ``ids[v]``.  The vertices are kept in class order in ``elems``, class
+    c the segment ``elems[first[c]:end[c]]``, so meeting a record costs
+    O(|S|): each group of S inside a class C moves to C's tail and becomes
+    a new class, unless it is all that is left of C, which stays C
+    (Paige and Tarjan, "Three partition refinement algorithms", SIAM J.
+    Comput. 1987; Habib, Paul and Viennot, IJFCS 1999).  The arrays are
+    allocated by the first record, so a stream that yields none costs
+    nothing here.
+    """
+
+    __slots__ = ("n", "num_classes", "elems", "pos", "class_of", "first",
+                 "end")
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.num_classes = 1
+        self.class_of = None
+
+    def meet(self, records) -> _Refinement:
+        """Refine by each record in turn; stop at all singletons, which no
+        further record can split, so the rest of the stream is never
+        computed."""
+        if self.num_classes < self.n:
+            for split, ids in records:
+                self.refine(split, ids)
+                if self.num_classes == self.n:
+                    break
+        return self
+
+    def refine(self, split, ids) -> list[tuple[int, int]]:
+        """Meet one record; ``(c, k)`` for each new class k, split off c."""
+        n = self.n
+        if self.class_of is None:
+            self.elems = array("i", range(n))
+            self.pos = array("i", range(n))
+            self.class_of = array("i", [0]) * n
+            self.first = array("i", [0]) * n
+            self.end = array("i", [n]) * n
+        elems, pos, class_of = self.elems, self.pos, self.class_of
+        first, end = self.first, self.end
+        groups: dict[tuple[int, int], list[int]] = {}
+        for v in split:
+            key = (class_of[v], ids[v])
+            group = groups.get(key)
+            if group is None:
+                groups[key] = [v]
+            else:
+                group.append(v)
+        made = []
+        for (c, _), group in groups.items():
+            e = end[c]
+            if len(group) == e - first[c]:
+                continue  # all that is left of c
+            k = self.num_classes
+            self.num_classes += 1
+            end[k] = e
+            for v in group:
+                e -= 1
+                p, u = pos[v], elems[e]
+                elems[p], pos[u] = u, p
+                elems[e], pos[v] = v, e
+                class_of[v] = k
+            first[k] = end[c] = e
+            made.append((c, k))
+        return made
+
+    def members(self, c: int):
+        return self.elems[self.first[c]:self.end[c]]
+
+    def partition(self) -> Partition:
+        if self.class_of is None:
+            return Partition.single_class(self.n)
+        return Partition(self.class_of)
+
+
+def _outside(class_of) -> list[int]:
+    """The vertices outside vertex 0's class, ascending."""
+    return list(itertools.compress(range(len(class_of)),
+                                   map(class_of[0].__ne__, class_of)))
+
+
+def _scc_records(g: Digraph, seps: _Separations):
+    """The SCC split of each strong bridge in ``seps`` as a record: S is
+    X_e, whose vertices ``_scc_splits`` numbers from 1."""
+    splits = _scc_splits(g, ((e, seps.cut_off(e))
+                             for e in sorted(seps.strong_bridges())))
+    return ((cut, scc_of) for _e, cut, scc_of in splits)
 
 
 def _two_edge_block_partition(g: Digraph, seps: _Separations) -> Partition:
     """2-edge blocks as a partition, non-block vertices as singletons: the
     meet of the SCC splits of the strong bridges in ``seps``."""
-    splits = _scc_splits(g, ((e, seps.cut_off(e))
-                             for e in sorted(seps.strong_bridges())))
-    return _meet(Partition.single_class(g.n),
-                 (scc_of for _e, _cut, scc_of in splits))
+    return _Refinement(g.n).meet(_scc_records(g, seps)).partition()
 
 
 def two_edge_blocks(g: Digraph, threads: int = 1) -> BlockSet:
@@ -333,11 +440,12 @@ def tetb_alg1_matrix(g: Digraph, threads: int = 1) -> BlockSet:
     twinless strongly connected components of the reduced graph is marked
     separated; each row is its vertex's class by construction, so blocks
     are the size->=2 groups of equal rows, each checked against its
-    members at every n.  Rows are machine-word bitsets, so the marking
-    pass costs O(n^2 / wordsize) per bridge; it stops once no pair of
-    distinct vertices is left, which no later bridge could change.  The
-    budget refusal comes before the precondition check in
-    ``bridge_report``.
+    members at every n.  Rows are machine-word bitsets, and a split
+    rewrites only the rows of the classes it changes: O(n / wordsize) per
+    vertex it moves, plus one store per row of a class it shrinks.  The
+    marking stops once no pair of distinct vertices is left, which no
+    later bridge could change.  The budget refusal comes before the
+    precondition check in ``bridge_report``.
     """
     if g.n > MATRIX_VERTEX_BUDGET:
         raise BudgetError(
@@ -347,8 +455,10 @@ def tetb_alg1_matrix(g: Digraph, threads: int = 1) -> BlockSet:
     if not rep.twinless_bridges:
         return BlockSet.from_partition(Partition.single_class(g.n))
     matrix = SeparationMatrix(g.n)
-    for class_of in _tscc_stream(g, seps, rep.twinless_bridges):
-        if not matrix.separate_across(Partition(class_of)):
+    part = _Refinement(g.n)
+    for split, ids in _tscc_stream(g, seps, rep.twinless_bridges):
+        matrix.rewrite(part, part.refine(split, ids))
+        if part.num_classes == g.n:
             break  # no pair left to separate
     return BlockSet(frozenset(matrix.never_separated_components()))
 
@@ -368,13 +478,13 @@ def tetb_alg2_refine(g: Digraph, mode: str = "safe",
         raise ValueError(f"unknown mode {mode!r}")
     rep, seps = _bridge_report(g)
     if mode == "faithful":
-        part = _two_edge_block_partition(g, seps)
-        refine = rep.twinless_bridges - rep.strong_bridges
+        records = itertools.chain(
+            _scc_records(g, seps),
+            _tscc_stream(g, seps, rep.twinless_bridges - rep.strong_bridges))
     else:
-        part = Partition.single_class(g.n)
-        refine = rep.twinless_bridges
+        records = _tscc_stream(g, seps, rep.twinless_bridges)
     return BlockSet.from_partition(
-        _meet(part, _tscc_stream(g, seps, refine)))
+        _Refinement(g.n).meet(records).partition())
 
 
 def two_edge_twinless_blocks(g: Digraph, algorithm: str = "alg2-safe",

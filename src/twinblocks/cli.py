@@ -7,12 +7,16 @@ canonical order (labels ascending inside a set, sets ascending by first
 label), so repeated runs are byte-identical apart from ``elapsed_ms``.
 
 Exit codes: 0 success, 1 usage error, 2 parse error, 3 precondition
-violation (e.g. input not twinless strongly connected, budget exceeded).
+violation (e.g. input not twinless strongly connected, budget exceeded),
+141 when the reader closes standard output before it is all written, as a
+shell reports a process killed by SIGPIPE.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -121,6 +125,12 @@ def build_parser() -> _Parser:
     return parser
 
 
+# built once per process: a build takes 1 to 2 ms, up to a fifth of a
+# twinless-bridges request on a 650-vertex graph; parse_args keeps no
+# state between calls
+_shared_parser = functools.cache(build_parser)
+
+
 def _read_graph(path: str) -> Digraph:
     """Parse UTF-8 edge-list input; a leading byte order mark is dropped."""
     try:
@@ -166,9 +176,8 @@ def _emit(report: AnalysisReport, fmt: str) -> None:
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
 
@@ -246,7 +255,15 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> int:
-    return run(sys.argv[1:])
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; stdout goes to devnull so that the flush at
+        # interpreter exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from twinblocks import (BlockSet, BudgetError, Digraph, GeneratorConfig,
                         underlying_graph)
 from twinblocks import blocks as blocks_mod
 from twinblocks import connectivity as connectivity_mod
-from twinblocks.blocks import _meet, _scc_splits
+from twinblocks.blocks import _Refinement, _scc_splits
 from twinblocks.connectivity import (_low_link_class_of, _scc_class_of,
                                      _split_class_of, _tscc_class_of)
 from twinblocks.cuts import _bridge_report, _Separations
@@ -531,14 +531,28 @@ def test_separation_matrix_universe_mismatch():
             SeparationMatrix(3).separate_across(p)
 
 
+def _record(class_of):
+    """A class list as a split record: the vertices outside vertex 0's
+    class, and the list."""
+    return [v for v, c in enumerate(class_of) if c != class_of[0]], class_of
+
+
+def _refined(start, class_lists):
+    """``start`` met with each class list by a ``_Refinement``, ``start``
+    itself fed as the first record."""
+    part = _Refinement(start.n)
+    part.refine(*_record(start.class_of))
+    return part.meet(map(_record, class_lists)).partition()
+
+
 def test_meet_of_raw_class_lists_equals_partition_meet_fold():
     lists = [[5, 5, 2, 9, 5, 2], [7, 7, 7, 7, 0, 0], [1, 1, 3, 3, 1, 3]]
     for start in (Partition.single_class(6), Partition([4, 4, 4, 1, 1, 1])):
         expected = start
         for class_of in lists:
             expected = partition_meet(expected, Partition(class_of))
-        assert _meet(start, iter(lists)) == expected
-    assert _meet(Partition([0, 0, 1]), []) == Partition([0, 0, 1])
+        assert _refined(start, iter(lists)) == expected
+    assert _refined(Partition([0, 0, 1]), []) == Partition([0, 0, 1])
 
 
 def test_meet_stops_before_pulling_past_all_singletons():
@@ -550,11 +564,11 @@ def test_meet_stops_before_pulling_past_all_singletons():
             yield class_of
         raise AssertionError("advanced past an all-singleton meet")
 
-    assert _meet(Partition.single_class(4), stream()) == \
+    assert _refined(Partition.single_class(4), stream()) == \
         Partition([0, 1, 2, 3])
     assert len(pulled) == 2
     already = Partition([0, 1, 2])
-    assert _meet(already, stream()) is already
+    assert _refined(already, stream()) == already
     assert len(pulled) == 2
 
 

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from twinblocks import parse_edge_list, two_edge_twinless_blocks
-from twinblocks.cli import run
+from twinblocks.cli import build_parser, run
 from twinblocks.fixtures import DEMO19_EDGE_TEXT
 
 GADGET_TEXT = "x a\na b\nb y\ny b\nb a\na x\nx p\np q\nq y\ny p\nq x"
@@ -193,6 +193,50 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     assert run(["2etb", "--algorithm", "bogus"]) == 1
     capsys.readouterr()
+
+
+def _without_elapsed(out: str):
+    return {k: v for k, v in json.loads(out).items() if k != "elapsed_ms"}
+
+
+def test_one_parser_per_process_keeps_no_request_state(demo_path, capsys):
+    """``run`` builds its parser once per process; each request prints
+    what a fresh process prints for it."""
+    requests = [["2etb", "--algorithm", "bogus"],
+                ["2etb", "--min-size", "3", "--input", demo_path,
+                 "--format", "json"],
+                ["2etb", "--input", demo_path, "--format", "json"]]
+    for argv in requests:
+        code = run(argv)
+        captured = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "twinblocks", *argv],
+                               capture_output=True, text=True, timeout=60)
+        assert code == fresh.returncode
+        assert captured.err == fresh.stderr
+        if code == 0:
+            assert _without_elapsed(captured.out) == \
+                _without_elapsed(fresh.stdout)
+        else:
+            assert code == 1 and captured.out == fresh.stdout == ""
+    assert build_parser() is not build_parser()
+
+
+def test_closed_pipe_exits_141_without_a_traceback():
+    """A reader that closes the pipe early ends the program with the
+    shell's SIGPIPE status and nothing on stderr."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "twinblocks", "gen", "--n", "20000",
+         "--m", "40000", "--seed", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert len(proc.stdout.read(10)) == 10  # of about 436 KB
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    finally:
+        proc.kill()
+        proc.wait()
+    assert b"Traceback" not in err and err == b""
 
 
 def test_budget_exit_code(demo_path, capsys):

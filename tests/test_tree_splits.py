@@ -9,16 +9,18 @@ from collections import Counter
 
 import pytest
 
-from twinblocks import (GeneratorConfig, Partition, UndirectedGraph,
-                        bridge_report, bridges_undirected,
+from twinblocks import (GeneratorConfig, Partition, SeparationMatrix,
+                        UndirectedGraph, bridge_report, bridges_undirected,
                         connected_components, induced_subgraph,
                         partition_meet, random_digraph, remove_arcs,
                         strong_bridges, strongly_connected_components,
                         tetb_alg1_matrix, tetb_alg2_refine, twinless_bridges,
+                        two_edge_twinless_blocks,
                         twinless_strongly_connected_components,
                         underlying_graph)
 from twinblocks import blocks as blocks_mod
-from twinblocks.blocks import BlockSet, _two_edge_block_partition
+from twinblocks.blocks import (BlockSet, _Refinement, _scc_records,
+                               _two_edge_block_partition)
 from twinblocks.connectivity import (_low_link_class_of, _split_class_of,
                                      _tscc_class_of)
 from twinblocks.cuts import _bridge_report, _CutTree, _peel
@@ -430,3 +432,65 @@ def test_certificate_is_not_built_below_the_gate(g, monkeypatch):
     built.clear()
     _stream(g)  # the whole stream builds it iff the gate is reached
     assert len(built) == reached
+
+
+def test_stream_records_meet_like_partition_meet_folds():
+    """Each split record, the 2-edge blocks' first and then the TSCC
+    stream's, is repeat-free and leaves vertex 0 in its implicit class;
+    ``_Refinement`` meets them as a ``partition_meet`` fold of the same
+    splits at every step, every class a segment of ``elems``, and the
+    rows ``SeparationMatrix.rewrite`` keeps are the masks of the
+    classes."""
+    records = kept = 0
+    for g in TSCC_INPUTS:
+        rep, seps = _bridge_report(g)
+        part, matrix = _Refinement(g.n), SeparationMatrix(g.n)
+        expected = Partition.single_class(g.n)
+        for split, ids in [*_scc_records(g, seps), *blocks_mod._tscc_stream(
+                g, seps, rep.twinless_bridges)]:
+            inside = set(split)
+            assert 0 not in inside and len(inside) == len(split)
+            expected = partition_meet(expected, Partition(
+                [(1, ids[v]) if v in inside else 0 for v in range(g.n)]))
+            before = part.num_classes
+            made = part.refine(split, ids)
+            matrix.rewrite(part, made)
+            assert part.partition() == expected
+            assert part.num_classes == expected.num_classes == \
+                before + len(made)
+            for c in range(part.num_classes):
+                members = part.members(c)
+                assert sorted(members) == list(
+                    expected.class_members(members[0]))
+            assert matrix.rows == [
+                sum(1 << w for w in expected.class_members(v))
+                for v in range(g.n)]
+            # a class that lies in S keeps one of its groups
+            kept += any(set(part.members(c)) <= inside
+                        for c in range(before))
+            records += 1
+    assert records > 5000 and kept > 1000, (records, kept)
+
+
+@pytest.mark.parametrize("algorithm", ["alg2-safe", "alg1", "alg2-faithful"])
+def test_partition_builds_per_request_are_bounded(algorithm, monkeypatch):
+    """One ``Partition`` for the TSCC decomposition and at most two per
+    TSCC analysed, however many splits are met: on SPARSE_ANY and on
+    ``dominator_fan(k)``, where faithful mode once built one per 2-edge
+    block split, 2k + 3 in all."""
+    built = []
+    init = Partition.__init__
+
+    def counted(self, class_of):
+        built.append(self)
+        init(self, class_of)
+
+    graphs = [SPARSE_ANY] + [dominator_fan(k) for k in (100, 200, 400)]
+    analysed = [sum(len(c) > 1 for c in
+                    twinless_strongly_connected_components(g).classes)
+                for g in graphs]
+    monkeypatch.setattr(Partition, "__init__", counted)
+    for g, t in zip(graphs, analysed):
+        built.clear()
+        two_edge_twinless_blocks(g, algorithm)
+        assert len(built) <= 1 + 2 * t, (g.n, t, len(built))
