@@ -63,7 +63,7 @@ from .core import (Digraph, GraphError, BudgetError, PreconditionError,
 from .partition import Partition, partition_meet
 from .connectivity import (_low_link_class_of, _split_class_of,
                            twinless_strongly_connected_components)
-from .cuts import _bridge_report, _peel, _Separations
+from .cuts import BridgeReport, _bridge_report, _peel, _Separations
 
 MATRIX_VERTEX_BUDGET = 20_000
 SUBSET_BUDGET = 10 ** 6
@@ -210,7 +210,7 @@ def _scc_splits(g: Digraph, cuts):
     seen: set[tuple[int, ...]] = set()
     outside: set[tuple[int, ...]] = set()  # X_e split for such a bridge
     for e, cut in cuts:
-        if not all(x in cut for x in g.arcs[e][:2]):
+        if not all(x in cut for x in g._ends[e]):
             key = tuple(cut)
             if key in outside:
                 continue
@@ -451,7 +451,12 @@ def tetb_alg1_matrix(g: Digraph, threads: int = 1) -> BlockSet:
         raise BudgetError(
             f"n={g.n} exceeds the n*n separation-matrix budget "
             f"({MATRIX_VERTEX_BUDGET}); use tetb_alg2_refine instead")
-    rep, seps = _bridge_report(g)
+    return _alg1_blocks(g, *_bridge_report(g))
+
+
+def _alg1_blocks(g: Digraph, rep: BridgeReport,
+                 seps: _Separations) -> BlockSet:
+    """``tetb_alg1_matrix`` of g, read off its bridge report."""
     if not rep.twinless_bridges:
         return BlockSet.from_partition(Partition.single_class(g.n))
     matrix = SeparationMatrix(g.n)
@@ -476,7 +481,12 @@ def tetb_alg2_refine(g: Digraph, mode: str = "safe",
     """
     if mode not in ("safe", "faithful"):
         raise ValueError(f"unknown mode {mode!r}")
-    rep, seps = _bridge_report(g)
+    return _alg2_blocks(g, mode, *_bridge_report(g))
+
+
+def _alg2_blocks(g: Digraph, mode: str, rep: BridgeReport,
+                 seps: _Separations) -> BlockSet:
+    """``tetb_alg2_refine`` of g in ``mode``, read off its bridge report."""
     if mode == "faithful":
         records = itertools.chain(
             _scc_records(g, seps),
@@ -493,10 +503,28 @@ def two_edge_twinless_blocks(g: Digraph, algorithm: str = "alg2-safe",
 
     Pipeline: the blocks of a graph are the union of the blocks of its
     twinless strongly connected components, so each size->=2 component is
-    analyzed in isolation with the chosen algorithm.
+    analyzed in isolation with the chosen algorithm.  The bridge report of
+    the whole graph comes first: when it succeeds, g is one component and
+    is analysed off that report, with no decomposition.  Its DFS of g and
+    of the reverse come before any dominators, so an input that is not
+    strongly connected pays one or two DFS before the decomposition; one
+    that is strongly connected but has an underlying bridge pays them and
+    the report's 2-cut pass.  For alg1, a graph over the matrix budget
+    goes straight to the decomposition, where a component that large is
+    refused before its report.
     """
     if algorithm not in _ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
+    mode = "faithful" if algorithm == "alg2-faithful" else "safe"
+    if algorithm != "alg1" or g.n <= MATRIX_VERTEX_BUDGET:
+        try:
+            report = _bridge_report(g)
+        except PreconditionError:
+            pass  # not twinless strongly connected
+        else:
+            if algorithm == "alg1":
+                return _alg1_blocks(g, *report)
+            return _alg2_blocks(g, mode, *report)
     tp = twinless_strongly_connected_components(g)
     out: list[frozenset[int]] = []
     for cls in tp.classes:
@@ -507,8 +535,7 @@ def two_edge_twinless_blocks(g: Digraph, algorithm: str = "alg2-safe",
         if algorithm == "alg1":
             found = tetb_alg1_matrix(sub)
         else:
-            found = tetb_alg2_refine(
-                sub, "safe" if algorithm == "alg2-safe" else "faithful")
+            found = tetb_alg2_refine(sub, mode)
         out.extend(frozenset(back[v] for v in b) for b in found.blocks)
     return BlockSet(frozenset(out))
 

@@ -152,8 +152,9 @@ def _read_graph(path: str) -> Digraph:
 
 
 def _sorted_arcs(g: Digraph, arc_ids) -> list[list[str]]:
-    return sorted([g.labels[g.arcs[i].source], g.labels[g.arcs[i].target]]
-                  for i in arc_ids)
+    labels = g.labels
+    ends = (g._ends[i] for i in arc_ids)
+    return sorted([labels[u], labels[v]] for u, v in ends)
 
 
 def _label_lists(g: Digraph, sets, min_size: int,

@@ -227,15 +227,15 @@ def condensation_tscc(g: Digraph) -> CondensationTree:
     p = Partition(_low_link_class_of(g, scc_of))
     twin = g._twin
     crossing: dict[tuple[int, int], list[TwinPair]] = {}
-    for a in g.arcs:
-        cu, cv = p.class_of[a.source], p.class_of[a.target]
+    for (u, v), aid in g._arc_ids.items():
+        cu, cv = p.class_of[u], p.class_of[v]
         if cu == cv:
             continue
         key = (cu, cv) if cu < cv else (cv, cu)
         crossing.setdefault(key, [])
-        rev = twin[a.arc_id]
-        if rev > a.arc_id:
-            crossing[key].append(TwinPair(a.arc_id, rev))
+        rev = twin[aid]
+        if rev > aid:
+            crossing[key].append(TwinPair(aid, rev))
     k = p.num_classes
     # tree check: connected with exactly k-1 edges
     adj: list[list[int]] = [[] for _ in range(k)]

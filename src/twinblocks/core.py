@@ -6,10 +6,13 @@ reports translate back to labels.  Graphs are immutable after construction:
 arc removal and induced subgraphs build new values, and per-arc analyses
 traverse the same graph with one arc skipped instead of rebuilding it.
 
-One arc store, the id-ordered ``(source, target) -> arc_id`` dict, yields
-arcs, adjacency and twin ids once per graph.  ``Digraph(labels, pairs)``
-checks every arc; the parser, ``remove_arcs`` and ``induced_subgraph``
-check only their own input and hand their store to the same builder.
+One arc store, the id-ordered ``(source, target) -> arc_id`` dict, is the
+single source of a graph's arcs: it yields adjacency and twin ids once per
+graph, and its keys, as one tuple indexed by arc id, give the ends of an
+arc.  The public ``arcs`` tuple of ``Arc`` records is derived from it on
+first use only; no analysis reads it.  ``Digraph(labels, pairs)`` checks
+every arc; the parser, ``remove_arcs`` and ``induced_subgraph`` check only
+their own input and hand their store to the same builder.
 
 Simple digraphs only: self-loops are rejected everywhere, duplicate arcs are
 rejected in strict parsing mode (antiparallel-pair semantics are undefined
@@ -56,14 +59,14 @@ class Digraph:
     Attributes (treat as read-only):
       n          vertex count
       m          arc count
-      arcs       tuple of Arc, indexed by arc_id
+      arcs       tuple of Arc, indexed by arc_id; derived on first use
       labels     tuple mapping vertex id -> label
       out_pairs  per-vertex tuple of (target, arc_id)
       in_pairs   per-vertex tuple of (source, arc_id)
     """
 
-    __slots__ = ("n", "m", "arcs", "labels", "out_pairs", "in_pairs",
-                 "_label_ids", "_arc_ids", "_twin")
+    __slots__ = ("n", "m", "labels", "out_pairs", "in_pairs",
+                 "_label_ids", "_arc_ids", "_ends", "_twin", "_arcs")
 
     def __init__(self, labels: Iterable[str], pairs: Iterable[tuple[int, int]]):
         labels = tuple(labels)
@@ -93,7 +96,8 @@ class Digraph:
 
     def _build(self, labels: tuple[str, ...], label_ids: dict[str, int],
                arc_ids: dict[tuple[int, int], int]) -> None:
-        """Derive arcs, adjacency and twin ids from the id-ordered store."""
+        """Derive adjacency, arc ends and twin ids from the id-ordered
+        store."""
         n = len(labels)
         out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         inc: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -104,13 +108,22 @@ class Digraph:
             twin.append(arc_ids.get((v, u), -1))
         self.n = n
         self.m = len(arc_ids)
-        self.arcs = tuple(Arc(u, v, aid) for (u, v), aid in arc_ids.items())
         self.labels = labels
         self.out_pairs = tuple(map(tuple, out))
         self.in_pairs = tuple(map(tuple, inc))
         self._label_ids = label_ids
         self._arc_ids = arc_ids
+        self._ends = tuple(arc_ids)  # (source, target) by arc id
         self._twin = tuple(twin)
+        self._arcs = None
+
+    @property
+    def arcs(self) -> tuple[Arc, ...]:
+        """Every arc as an ``Arc``, indexed by arc id; built on first use."""
+        if self._arcs is None:
+            self._arcs = tuple(
+                Arc(u, v, aid) for aid, (u, v) in enumerate(self._ends))
+        return self._arcs
 
     @classmethod
     def from_label_pairs(cls, pairs: Iterable[tuple[str, str]]) -> "Digraph":
@@ -141,8 +154,8 @@ class Digraph:
             raise GraphError(f"no arc ({u},{v})") from None
 
     def arc_label_pairs(self) -> frozenset[tuple[str, str]]:
-        return frozenset(
-            (self.labels[a.source], self.labels[a.target]) for a in self.arcs)
+        labels = self.labels
+        return frozenset((labels[u], labels[v]) for u, v in self._arc_ids)
 
     def __eq__(self, other: object) -> bool:
         """Semantic equality: same label set and same arcs by label."""
@@ -173,12 +186,14 @@ def parse_edge_list(text: str, mode: str = "strict") -> Digraph:
     label_ids: dict[str, int] = {}
     arc_ids: dict[tuple[int, int], int] = {}
     dropped = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [raw.split("#", 1)[0] for raw in lines]
+    for lineno, line in enumerate(lines, start=1):
         tokens = line.split()
         if len(tokens) != 2:
+            if not tokens:
+                continue
             raise ParseError(
                 f"line {lineno}: expected 2 tokens, got {len(tokens)}")
         a, b = tokens
@@ -186,12 +201,12 @@ def parse_edge_list(text: str, mode: str = "strict") -> Digraph:
             raise ParseError(f"line {lineno}: self-loop at {a!r}")
         uv = (label_ids.setdefault(a, len(label_ids)),
               label_ids.setdefault(b, len(label_ids)))
-        if uv in arc_ids:
+        aid = len(arc_ids)
+        if arc_ids.setdefault(uv, aid) != aid:
             if mode == "strict":
                 raise ParseError(f"line {lineno}: duplicate arc {a!r} -> {b!r}")
             dropped += 1
-            continue
-        arc_ids[uv] = len(arc_ids)
+    del lines  # freed before the build, which is the memory peak
     if dropped:
         warnings.warn(f"dropped {dropped} duplicate arc(s)", stacklevel=2)
     return Digraph._from_store(tuple(label_ids), label_ids, arc_ids)
@@ -202,8 +217,8 @@ def serialize(g: Digraph) -> str:
 
     ``parse_edge_list(serialize(g))`` reproduces the graph up to arc order.
     """
-    lines = sorted(
-        (g.labels[a.source], g.labels[a.target]) for a in g.arcs)
+    labels = g.labels
+    lines = sorted((labels[u], labels[v]) for u, v in g._arc_ids)
     return "\n".join(f"{s} {t}" for s, t in lines)
 
 

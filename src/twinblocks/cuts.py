@@ -11,7 +11,8 @@
   path compression, O(m log n)), with an iterative DFS and an iterative
   compression so that a path n deep needs no recursion.  The two DFS
   numberings are also the strong-connectivity precondition: both must
-  reach every vertex.
+  reach every vertex, and both are walked before either Lengauer-Tarjan
+  pass, so an input that is not strongly connected costs no dominators.
 
 * For a twinless strongly connected graph, removing an arc whose twin
   survives leaves the underlying graph unchanged, so only strong
@@ -28,7 +29,8 @@
 
 Twinless strong connectivity is strong connectivity plus a 2-edge-connected
 underlying graph, so the precondition costs the two dominator DFS and the
-bridge test that the 2-cut pass makes anyway.
+bridge test that the 2-cut pass makes anyway; a bridge report runs that
+pass before the dominators, so an underlying bridge costs none either.
 
 Every bridge query builds both dominator-tree preorders once, in one
 ``_Separations``.  They also say what each strong bridge cuts off the SCC of
@@ -66,16 +68,10 @@ from .core import Digraph, GraphError, PreconditionError
 Pairs = Sequence[Sequence[tuple[int, int]]]
 
 
-def _immediate_dominators(n: int, succ: Pairs,
-                          pred: Pairs) -> tuple[list[int], list[int]]:
-    """Immediate dominators of the flowgraph rooted at vertex 0.
-
-    ``succ[v]`` and ``pred[v]`` hold (neighbour, arc_id) pairs.  Returns
-    ``(order, idom)``: the vertices reachable from 0 in DFS preorder, and
-    per vertex its immediate dominator (-1 for the root and for vertices 0
-    does not reach).  Simple Lengauer-Tarjan; semidominators are compared
-    by preorder number.
-    """
+def _preorder(n: int, succ: Pairs) -> tuple[list[int], list[int], list[int]]:
+    """``(order, dfn, parent)`` of a DFS from vertex 0 over ``succ``: the
+    vertices reached in preorder, each vertex's preorder number and its DFS
+    parent (-1 for the root and for vertices 0 does not reach)."""
     dfn = [-1] * n
     parent = [-1] * n
     dfn[0] = 0
@@ -92,7 +88,15 @@ def _immediate_dominators(n: int, succ: Pairs,
                 break
         else:
             stack.pop()
+    return order, dfn, parent
 
+
+def _lengauer_tarjan(n: int, pred: Pairs, order: list[int], dfn: list[int],
+                     parent: list[int]) -> list[int]:
+    """Immediate dominators from the DFS ``_preorder`` returned: per vertex
+    its immediate dominator, -1 for the root and for vertices 0 does not
+    reach.  Simple Lengauer-Tarjan; semidominators are compared by
+    preorder number."""
     semi = dfn[:]  # preorder number of the semidominator
     label = list(range(n))
     anc = [-1] * n  # link-eval forest; -1 marks a forest root
@@ -135,13 +139,25 @@ def _immediate_dominators(n: int, succ: Pairs,
     for w in order[1:]:
         if idom[w] != order[semi[w]]:
             idom[w] = idom[idom[w]]
-    return order, idom
+    return idom
 
 
-def _flow_bridges(n: int, succ: Pairs,
-                  pred: Pairs) -> tuple[list[int], tuple] | None:
-    """``(bridges, tree)`` of the flowgraph rooted at vertex 0, or None when
-    0 does not reach every vertex.
+def _immediate_dominators(n: int, succ: Pairs,
+                          pred: Pairs) -> tuple[list[int], list[int]]:
+    """Immediate dominators of the flowgraph rooted at vertex 0.
+
+    ``succ[v]`` and ``pred[v]`` hold (neighbour, arc_id) pairs.  Returns
+    ``(order, idom)``: the vertices reachable from 0 in DFS preorder, and
+    per vertex its immediate dominator (-1 for the root and for vertices 0
+    does not reach).
+    """
+    walk = _preorder(n, succ)
+    return walk[0], _lengauer_tarjan(n, pred, *walk)
+
+
+def _flow_bridges(n: int, pred: Pairs, walk) -> tuple[list[int], tuple]:
+    """``(bridges, tree)`` of the flowgraph rooted at vertex 0, given the
+    ``_preorder`` walk of its arcs, which reaches every vertex.
 
     ``bridges`` are arc ids: arc (u,v) is a bridge iff u = idom(v) and v
     dominates every other predecessor of v; dominance is an interval test
@@ -149,9 +165,8 @@ def _flow_bridges(n: int, succ: Pairs,
     ``(by_pre, pre, size)``, compact int arrays: w dominates exactly
     ``by_pre[pre[w]:pre[w] + size[w]]``.
     """
-    order, idom = _immediate_dominators(n, succ, pred)
-    if len(order) < n:
-        return None
+    order = walk[0]
+    idom = _lengauer_tarjan(n, pred, *walk)
     # idom(w) precedes w in DFS preorder and a dominator-tree subtree lies
     # inside the DFS subtree, so one backward and one forward sweep give
     # subtree sizes and a preorder: v dominates x iff
@@ -201,24 +216,34 @@ class _Separations:
     in Directed Graphs", SODA 2015).
     """
 
-    __slots__ = ("arcs", "side", "trees", "cut_tree")
+    __slots__ = ("ends", "side", "trees", "cut_tree")
 
     def __init__(self, g: Digraph,
-                 message: str = "input is not strongly connected") -> None:
-        """Both dominator searches of g, G_0 first; raises
-        PreconditionError(message) at the first that misses a vertex."""
+                 message: str = "input is not strongly connected",
+                 cut_tree: bool = False) -> None:
+        """Both dominator searches of g, G_0 first.  The DFS of G_0 and
+        that of its reverse come before either Lengauer-Tarjan pass: when
+        one misses a vertex, PreconditionError(message) is raised with no
+        dominators computed.  With ``cut_tree`` the 2-cut pass of a bridge
+        report runs between the DFS and the passes, so an input whose
+        underlying graph has a bridge is refused before them too."""
         if g.n == 0:
             raise PreconditionError("empty graph")
-        self.arcs = g.arcs
+        self.ends = g._ends
         self.cut_tree: _CutTree | None = None  # set by a bridge report
         self.side = bytearray(g.m)  # 1: bridge of G_0, 2: of G_0^R, 3: both
         self.trees = []  # (by_pre, pre, size) of D, then of D^R
-        for bit, succ, pred in ((1, g.out_pairs, g.in_pairs),
-                                (2, g.in_pairs, g.out_pairs)):
-            found = _flow_bridges(g.n, succ, pred)
-            if found is None:
+        walks = []
+        for succ in (g.out_pairs, g.in_pairs):
+            walk = _preorder(g.n, succ)
+            if len(walk[0]) < g.n:
                 raise PreconditionError(message)
-            bridges, tree = found
+            walks.append(walk)
+        if cut_tree:
+            self.cut_tree = _CutTree(g, g._twin)
+        for bit, pred, walk in ((1, g.in_pairs, walks[0]),
+                                (2, g.out_pairs, walks[1])):
+            bridges, tree = _flow_bridges(g.n, pred, walk)
             for aid in bridges:
                 self.side[aid] |= bit
             self.trees.append(tree)
@@ -229,7 +254,7 @@ class _Separations:
     def cut_off(self, e: int) -> list[int]:
         """X_e in ascending order."""
         side = self.side[e]
-        u, v, _ = self.arcs[e]
+        u, v = self.ends[e]
         parts = []
         for bit, w, (by_pre, pre, size) in zip((1, 2), (v, u), self.trees):
             if side & bit:
@@ -317,7 +342,7 @@ class _CutTree:
         cnt = [0] * n
         acc = [0] * n
         lower_ends: list[list[int]] = [[] for _ in range(n)]  # by upper end
-        for d, a, aid in self._back_edges(g.arcs, twin):
+        for d, a, aid in self._back_edges(g._arc_ids, twin):
             cnt[d] += 1
             cnt[a] -= 1
             acc[d] ^= aid
@@ -328,6 +353,8 @@ class _CutTree:
             if p != -1:
                 cnt[p] += cnt[v]
                 acc[p] ^= acc[v]
+        if cnt.count(0) > 1:  # a tree edge with no cover; the root has 0
+            raise PreconditionError("input is not twinless strongly connected")
 
         # high[] by union-find: upper ends in decreasing preorder, each back
         # edge labels the unlabelled tree path from its lower end up, and a
@@ -352,9 +379,6 @@ class _CutTree:
         last: dict[tuple[int, int], int] = {}
         for v in order[1:]:
             c = cnt[v]
-            if c == 0:
-                raise PreconditionError(
-                    "input is not twinless strongly connected")
             if c == 1:
                 cut[v] = 1
                 unique_cover[acc[v]] = v
@@ -365,15 +389,16 @@ class _CutTree:
                 top[v] = top[u]
             last[key] = v
         self.top, self.unique_cover = top, unique_cover
-        self.unpaired = [aid for s, t, aid in g.arcs if twin[aid] < 0 and (
-            cut[t] if parent[t] == s else cut[s] if parent[s] == t
-            else aid in unique_cover)]
+        self.unpaired = [
+            aid for (s, t), aid in g._arc_ids.items() if twin[aid] < 0 and (
+                cut[t] if parent[t] == s else cut[s] if parent[s] == t
+                else aid in unique_cover)]
 
-    def _back_edges(self, arcs, twin: Sequence[int]):
+    def _back_edges(self, arc_ids, twin: Sequence[int]):
         """(lower end, upper end, arc id) of each back edge, one arc per
-        twin pair."""
+        twin pair, from the graph's arc store."""
         parent, disc = self.parent, self.pre
-        for s, t, aid in arcs:
+        for (s, t), aid in arc_ids.items():
             if parent[t] == s or parent[s] == t or twin[aid] > aid:
                 continue  # tree edge, or the twin stands for this edge
             yield (s, t, aid) if disc[s] > disc[t] else (t, s, aid)
@@ -397,7 +422,7 @@ class _CutTree:
         parent, top = self.parent, self.top
         deepest = {}  # per chosen class, by its top: its deepest lower end
         for e in bridges:
-            s, t, _ = g.arcs[e]
+            s, t = g._ends[e]
             v = (t if parent[t] == s else s if parent[s] == t
                  else self.unique_cover[e])
             deepest[top[v]] = v
@@ -466,7 +491,7 @@ class _CutTree:
         cnt, high = self.cnt, self.high
         n = len(parent)
         ups: list[list[int]] = [[] for _ in range(n)]  # by lower end's pre
-        for d, a, _ in self._back_edges(g.arcs, g._twin):
+        for d, a, _ in self._back_edges(g._arc_ids, g._twin):
             ups[pre[d]].append(pre[a])
         low_at = array("i", (min(h, default=n) for h in ups))
         low = array("i", (low_at[p] for p in pre))
@@ -707,8 +732,7 @@ class BridgeReport:
 
 def _bridge_report(g: Digraph) -> tuple[BridgeReport, _Separations]:
     """``bridge_report(g)`` with the ``_Separations`` it was read from."""
-    seps = _Separations(g, "input is not twinless strongly connected")
-    seps.cut_tree = _CutTree(g, g._twin)
+    seps = _Separations(g, "input is not twinless strongly connected", True)
     # the sets come after the 2-cut pass, a bridge report's memory peak
     strong = seps.strong_bridges()
     return BridgeReport(strong, strong.union(seps.cut_tree.unpaired)), seps

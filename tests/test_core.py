@@ -1,4 +1,5 @@
 import random
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -55,6 +56,76 @@ def test_parse_duplicate_strict_vs_lenient():
 def test_parse_unknown_mode():
     with pytest.raises(ValueError):
         parse_edge_list("1 2", mode="loose")
+
+
+def _spaced_lines(seed: int) -> list[str]:
+    """Arc lines of a seeded graph with tabs, padding and blank lines."""
+    rng = random.Random(seed)
+    g = random_digraph(GeneratorConfig(
+        n_range=(2, 12), m_range=(1, 30), twin_density=0.4, seed=seed))
+    lines = []
+    for line in serialize(g).splitlines():
+        s, t = line.split()
+        lines.append(rng.choice(["", " ", "\t"]) + s
+                     + rng.choice([" ", "\t", " \t "]) + t
+                     + rng.choice(["", " ", "\t"]))
+        if rng.random() < 0.3:
+            lines.append(rng.choice(["", "   ", "\t"]))
+    return lines
+
+
+def _commented(lines: list[str], seed: int) -> list[str]:
+    """The same lines, line for line, with trailing comments and some
+    blank lines turned into comment lines."""
+    rng = random.Random(seed)
+    return [line + rng.choice(["#", " # note", "\t#x # y", ""])
+            if line.strip() else rng.choice([line, "# blank", " #"])
+            for line in lines]
+
+
+def _parsed(text: str, mode: str = "strict"):
+    """What parsing ``text`` gives: the graph's store, or the error
+    message; and the warnings raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got = _store(parse_edge_list(text, mode))
+        except ParseError as exc:
+            got = str(exc)
+    return got, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_parse_with_and_without_comments_agree(newline):
+    # text with no "#" takes the tokenizer's one-split path; the same
+    # lines with comments take the comment path
+    errors = set()
+    for seed in range(40):
+        lines = _spaced_lines(seed)
+        rng = random.Random(seed)
+        at = rng.randrange(len(lines) + 1)
+        bad = [[], ["x\ty z"], ["solo"], ["q \t q"], [lines[0]] * 2,
+               [lines[0]]][seed % 6]
+        lines[at:at] = bad
+        text = newline.join(lines) + rng.choice(["", newline])
+        commented = newline.join(_commented(lines, seed)) + (
+            newline if text.endswith(newline) else "")
+        assert "#" not in text and "#" in commented
+        for mode in ("strict", "lenient"):
+            plain = _parsed(text, mode)
+            assert _parsed(commented, mode) == plain
+            if isinstance(plain[0], str):
+                errors.add(plain[0].split(":", 1)[1])
+    assert {" expected 2 tokens, got 3", " expected 2 tokens, got 1",
+            " self-loop at 'q'"} <= errors
+    assert any(e.startswith(" duplicate arc") for e in errors)
+
+
+def test_parse_line_numbers_count_blank_and_comment_lines():
+    for text in ("1 2\n\n2 1 3", "1 2\r\n\t\r\n2 1 3\r\n",
+                 "1 2 # a\n# b\n2 1 3 # c"):
+        with pytest.raises(ParseError, match="^line 3: expected 2 tokens"):
+            parse_edge_list(text)
 
 
 def test_labels_interned_in_first_appearance_order():
