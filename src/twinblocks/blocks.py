@@ -27,12 +27,17 @@ in turn, for having at most one neighbour left, lies on no cycle of
 U - X_e (the first of them removed from a cycle still had two neighbours
 on it), so each vertex of P is a class of its own; when the certificate
 passes X_e + P, V - X_e - P is one class and the split is local, with P
-set apart.  P is empty when U - X_e is 2-edge-connected already.  Only the
-other splits run a full undirected low-link pass, on the digraph's own
-arcs, skipping a strong bridge whose split repeats an earlier one.  Full
-undirected passes therefore number only these fallbacks, plus O(sum of
-|G[X_e]|) local work, which is quadratic on nested cuts such as a directed
-cycle; every algorithm stops once no later split can change its result.  A
+set apart.  P is empty when U - X_e is 2-edge-connected already.  The
+other cuts fall back, skipping a strong bridge whose split repeats an
+earlier one: a low-link pass over X_e alone gives the TSCCs inside it, and
+what U - X_e splits outside it is checked after every other split, in
+groups, against the partition met so far.  One full undirected low-link
+pass, on the digraph's own arcs, over U minus the union of a group
+certifies every cut in it when it splits no class met so far; a group
+that fails splits in halves, so k fallback cuts cost at most 2k - 1 full
+passes, and only a single cut that fails is met.  Add O(sum of |G[X_e]|)
+local work, which is quadratic on nested cuts such as a directed cycle;
+every algorithm stops once no later split can change its result.  A
 split reaches the meet as one record ``(S, ids)``: S lists, without
 repeats, the vertices outside vertex 0's class, and ``ids[v]`` the class
 of each v in S.  The meet keeps the running partition in arrays, each
@@ -226,12 +231,13 @@ def _scc_splits(g: Digraph, cuts):
         yield e, cut, scc_of
 
 
-def _tscc_stream(g: Digraph, seps: _Separations, bridges):
-    """TSCC classes of g minus each bridge, some met already, to be met in
-    any order, from the DFS tree T of the underlying graph U that the
-    bridge report kept; one ``(S, ids)`` record per split (see
-    ``_Refinement``).  Vertex 0 lies in no X_e and no accepted peel, so
-    its class is always the implicit one.
+def _tscc_stream(g: Digraph, seps: _Separations, bridges, part):
+    """TSCC classes of g minus each bridge, some met already, from the
+    DFS tree T of the underlying graph U that the bridge report kept; one
+    ``(S, ids)`` record per split (see ``_Refinement``).  Vertex 0 lies in
+    no X_e and no accepted peel, so its class is always the implicit
+    one.  The consumer meets each record into ``part`` before it pulls
+    the next, as the fallbacks' group check reads it.
 
     * The twinless bridges that are not strong bridges give one split,
       the meet of their TSCC splits: ``_CutTree.rings`` cuts their 2-cut
@@ -257,18 +263,27 @@ def _tscc_stream(g: Digraph, seps: _Separations, bridges):
       query refuses it.  P is empty when U - X_e is 2-edge-connected: U
       is simple and U - X_e holds vertex 0 and another vertex, so it then
       has at least three, each with two neighbours left.
-    * Every other split is a fallback: the SCC split, then one full
-      low-link kernel pass; S is the vertices outside vertex 0's class.
+    * Every other split is a fallback, met in two halves.  Its inside
+      half, V - X_e one class and the TSCCs of G[X_e] - e, comes where
+      the stream reaches it: the SCC split, then a low-link pass over X_e
+      alone, skipped when every SCC there is one vertex; S is X_e.  The
+      outside halves, X_e one class and U - X_e cut into its
+      2-edge-connected classes, come after every other split, checked in
+      groups against ``part`` by ``_outside_halves``: only those that
+      split a class of ``part`` are met, each as one full low-link pass.
 
-    The local splits whose SCCs inside X_e are single vertices, every
-    one-vertex cut among them, are met as one split with every peel, each
-    such vertex alone; S lists a vertex set apart twice once.  The
-    certificate costs O((n + m) log n), about as much as log n kernel
-    passes, so it is built only when at least ceil(log2 n) distinct X_e
-    other than V - {0} reach it; a peel costs O(vol(X_e + P)).  The cuts X_e = V - {0} come first, as the strong
-    bridges are met in id order, so a meet that stops early never
-    enumerates the other X_e.  Every cut is asked about before the next
-    kernel pass, so the certificate's tables are freed before it.
+    The certified local splits whose SCCs inside X_e are single vertices,
+    every one-vertex cut among them, are met as one split with every peel,
+    each such vertex alone; S lists a vertex set apart twice once.  A
+    fallback's inside half is met at once even then, so a meet that it
+    leaves all singletons stops before the group check.  The certificate
+    costs O((n + m) log n), about as much as log n kernel passes, so it
+    is built only when at least ceil(log2 n) distinct X_e other than
+    V - {0} reach it; a peel costs O(vol(X_e + P)).  The cuts
+    X_e = V - {0} come first, as the strong bridges are met in id order,
+    so a meet that stops early never enumerates the other X_e.  Every cut
+    is asked about before the next kernel pass, so the certificate's
+    tables are freed before it.
     """
     if not bridges:
         return
@@ -311,15 +326,63 @@ def _tscc_stream(g: Digraph, seps: _Separations, bridges):
     rest = ((e, cut) for cut, es in groups.items()
             if len(cut) > 1 or cut not in local for e in es)
     for e, cut, scc_of in _scc_splits(g, rest):
-        if cut not in local:
-            class_of = _low_link_class_of(g, scc_of, e)
-            yield _outside(class_of), class_of
-        elif max(scc_of) < len(cut):
+        if max(scc_of) < len(cut):
             yield cut, _low_link_class_of(g, scc_of, e, cut)
-        else:  # every vertex of X_e is an SCC of its own
+        elif cut in local:  # every vertex of X_e is an SCC of its own
             apart += cut
+        else:  # a fallback's inside half, met at once all the same
+            yield cut, scc_of
     if apart:  # a vertex set apart twice is listed once
         yield list(dict.fromkeys(apart)), range(n)
+    pending = [cut for cut in groups if cut not in local]
+    if pending:
+        yield from _outside_halves(g, pending, part)
+
+
+def _outside_halves(g: Digraph, cuts, part):
+    """The records of the fallback cuts X in ``cuts`` whose outside half,
+    X one class and U - X cut into its 2-edge-connected classes, splits a
+    class of ``part``, found by group tests over ``part`` as it is met.
+
+    A group of cuts with union R is certified by one low-link pass over
+    U - R, each vertex of R a class of its own, when every class of
+    ``part`` with two or more members lies in one class of that pass:
+    U - R is a subgraph of each U - X, so a class 2-edge-connected in
+    U - R is so in U - X.  A class that meets R lies in an X of the group
+    once X's inside half is met, so a group of one cut passes it, and a
+    larger group splits in halves with no pass.  A group with no such
+    class outside R is certified with no pass.  A group that fails splits
+    in halves too; one cut that fails is the pass with X one class, met
+    as its record.  Each node of that split tree runs at most one pass,
+    so k cuts cost at most 2k - 1 passes.
+    """
+    n = g.n
+    todo = [cuts]
+    while todo:
+        group = todo.pop()
+        half = len(group) // 2
+        inside = [x for cut in group for x in cut]
+        first, end = part.first, part.end
+        met = {c for c in {part.class_of[x] for x in inside}
+               if end[c] - first[c] > 1}
+        if met and len(group) > 1:
+            todo += group[half:], group[:half]
+            continue
+        if all(end[c] - first[c] == 1 or c in met
+               for c in range(part.num_classes)):
+            continue  # the pass could split no class
+        mark = [0] * n
+        for x in inside:  # a class of its own: vertex 0 is in no X
+            mark[x] = x
+        class_of = _low_link_class_of(g, mark)
+        for x in inside:
+            class_of[x] = -1
+        if part.lies_within(class_of):
+            continue
+        if len(group) == 1:
+            yield _outside(class_of), class_of
+        else:
+            todo += group[half:], group[:half]
 
 
 class _Refinement:
@@ -396,6 +459,14 @@ class _Refinement:
     def members(self, c: int):
         return self.elems[self.first[c]:self.end[c]]
 
+    def lies_within(self, class_of) -> bool:
+        """Whether every class lies in one class of ``class_of``: each
+        vertex is checked against the first member of its class, with no
+        list of size n."""
+        elems, first, owner = self.elems, self.first, self.class_of
+        return all(class_of[v] == class_of[elems[first[owner[v]]]]
+                   for v in range(self.n))
+
     def partition(self) -> Partition:
         if self.class_of is None:
             return Partition.single_class(self.n)
@@ -461,7 +532,7 @@ def _alg1_blocks(g: Digraph, rep: BridgeReport,
         return BlockSet.from_partition(Partition.single_class(g.n))
     matrix = SeparationMatrix(g.n)
     part = _Refinement(g.n)
-    for split, ids in _tscc_stream(g, seps, rep.twinless_bridges):
+    for split, ids in _tscc_stream(g, seps, rep.twinless_bridges, part):
         matrix.rewrite(part, part.refine(split, ids))
         if part.num_classes == g.n:
             break  # no pair left to separate
@@ -487,14 +558,15 @@ def tetb_alg2_refine(g: Digraph, mode: str = "safe",
 def _alg2_blocks(g: Digraph, mode: str, rep: BridgeReport,
                  seps: _Separations) -> BlockSet:
     """``tetb_alg2_refine`` of g in ``mode``, read off its bridge report."""
+    part = _Refinement(g.n)
     if mode == "faithful":
         records = itertools.chain(
             _scc_records(g, seps),
-            _tscc_stream(g, seps, rep.twinless_bridges - rep.strong_bridges))
+            _tscc_stream(g, seps, rep.twinless_bridges - rep.strong_bridges,
+                         part))
     else:
-        records = _tscc_stream(g, seps, rep.twinless_bridges)
-    return BlockSet.from_partition(
-        _Refinement(g.n).meet(records).partition())
+        records = _tscc_stream(g, seps, rep.twinless_bridges, part)
+    return BlockSet.from_partition(part.meet(records).partition())
 
 
 def two_edge_twinless_blocks(g: Digraph, algorithm: str = "alg2-safe",

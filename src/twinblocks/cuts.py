@@ -48,8 +48,9 @@ once, with its peel P (``_peel``): the vertices removed from U - X, in
 turn, for having at most one neighbour left.  None of them is on a cycle
 of U - X, since the first removed from a cycle still had two neighbours
 there, so each is a 2-edge-connected class of U - X of its own, and the
-rest is one class when X + P passes.  Only the other splits take a full
-low-link pass.
+rest is one class when X + P passes.  The other splits take a low-link
+pass over X alone, and their outside parts are checked in groups, one
+full low-link pass per group, after every other split is met.
 
 Arc identity (arc_id), not the endpoint pair, names a bridge; that stays
 unambiguous under antiparallel pairs.

@@ -20,6 +20,7 @@ from .testkit import (GeneratorConfig, oracle_tscc,
 from .fixtures import DEMO19_EDGE_TEXT, G_DEMO19, G_GADGET
 
 RANDOM_ROUNDS = 40
+OUTSIDE_HALF_SEEDS = (45, 77, 394)
 
 
 def _label_sets(g, bs):
@@ -135,6 +136,19 @@ def run_selftest(out=print) -> int:
           f"splits ({multi} of more than one vertex, {peeled} peeled) equal "
           "full TSCC passes", off_tree == 0 and multi > 0 and peeled > 0,
           f"{off_tree} mismatching seeds")
+
+    # on these, a fallback cut's outside half splits what the rest joins
+    off_oracle = []
+    for seed in OUTSIDE_HALF_SEEDS:
+        h = random_digraph(GeneratorConfig(
+            n_range=(5, 15), m_range=(8, 30), twin_density=0.5, seed=seed,
+            shape="twinless-strongly-connected"))
+        if not (tetb_alg1_matrix(h) == tetb_alg2_refine(h, "safe")
+                == oracle_two_edge_twinless_blocks(h)):
+            off_oracle.append(seed)
+    check(f"{len(OUTSIDE_HALF_SEEDS)} seeded instances with a fallback cut "
+          "whose outside half splits a block: alg1 and alg2-safe equal the "
+          "oracle", not off_oracle, f"mismatching seeds {off_oracle}")
 
     out(f"selftest: {'PASS' if failures == 0 else 'FAIL'} "
         f"({failures} failing check(s))")

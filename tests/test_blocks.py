@@ -324,7 +324,12 @@ def test_alg1_stops_once_no_pair_is_left(g, whole, monkeypatch):
 
     monkeypatch.setattr(blocks_mod, "_tscc_stream", counted)
     rep, seps = _bridge_report(g)
-    assert len(list(stream(g, seps, rep.twinless_bridges))) == whole
+    part = _Refinement(g.n)  # each record met before the next is pulled
+    listed = 0
+    for split, ids in stream(g, seps, rep.twinless_bridges, part):
+        part.refine(split, ids)
+        listed += 1
+    assert listed == whole
     expected = oracle_two_edge_twinless_blocks(g)
     assert tetb_alg2_refine(g, "safe") == expected
     safe = len(pulled)

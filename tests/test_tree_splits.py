@@ -3,6 +3,7 @@ one split for all the twinless bridges that are not strong, the U - X
 certificate for the strong bridges whose cut-off part X, or X with its
 peel, is a connected subtree of it, and the full low-link kernel only for
 the splits that fall back."""
+import itertools
 import math
 import random
 from collections import Counter
@@ -12,7 +13,8 @@ import pytest
 from twinblocks import (GeneratorConfig, Partition, SeparationMatrix,
                         UndirectedGraph, bridge_report, bridges_undirected,
                         connected_components, induced_subgraph,
-                        partition_meet, random_digraph, remove_arcs,
+                        oracle_two_edge_twinless_blocks, partition_meet,
+                        random_digraph, remove_arcs,
                         strong_bridges, strongly_connected_components,
                         tetb_alg1_matrix, tetb_alg2_refine, twinless_bridges,
                         two_edge_twinless_blocks,
@@ -217,6 +219,25 @@ def test_no_two_non_strong_twinless_bridges_share_a_two_cut():
     assert pairs > 100
 
 
+SPARSE_ANY = random_digraph(GeneratorConfig(
+    n_range=(300, 300), m_range=(600, 600), twin_density=0.3, seed=7,
+    shape="any"))
+
+
+# any-shape graphs on which a multi-cut group that let a class meeting
+# its union pass would lose a split
+GROUP_CHECK_INPUTS = [random_digraph(GeneratorConfig(
+    n_range=(100, 300), m_range=(200, 600), twin_density=0.3, seed=27,
+    shape="any"))] + [random_digraph(GeneratorConfig(
+        n_range=(200, 400), m_range=(300, 500), twin_density=0.6, seed=seed,
+        shape="any")) for seed in (172, 219)]
+# their TSCCs and SPARSE_ANY's, whose fallback cuts the group check meets
+FALLBACK_INPUTS = [induced_subgraph(g, c)
+                   for g in [SPARSE_ANY, *GROUP_CHECK_INPUTS]
+                   for c in twinless_strongly_connected_components(g).classes
+                   if len(c) > 1]
+
+
 def _full_pass_meet(g, part, bridges) -> BlockSet:
     """The stream before the tree splits: one full TSCC pass per bridge."""
     for e in sorted(bridges):
@@ -226,7 +247,7 @@ def _full_pass_meet(g, part, bridges) -> BlockSet:
 
 def test_tree_stream_equals_full_pass_stream():
     gated = 0
-    for g in TSCC_INPUTS:
+    for g in TSCC_INPUTS + FALLBACK_INPUTS:
         rep, seps = _bridge_report(g)
         gated += _gate(g, _removal_splits(g, rep))
         safe = _full_pass_meet(g, Partition.single_class(g.n),
@@ -265,19 +286,64 @@ def _two_edge_connected_without(g, cut) -> bool:
 
 
 def _stream(g):
-    """Every split of the per-bridge stream, nothing met."""
+    """Every split of the per-bridge stream, each met into the stream's
+    refinement as it is listed, as the block algorithms meet them."""
     rep, seps = _bridge_report(g)
-    return list(blocks_mod._tscc_stream(g, seps, rep.twinless_bridges))
+    part = _Refinement(g.n)
+    records = []
+    for split, ids in blocks_mod._tscc_stream(g, seps, rep.twinless_bridges,
+                                              part):
+        part.refine(split, ids)
+        records.append((split, ids))
+    return records
 
 
-SPARSE_ANY = random_digraph(GeneratorConfig(
-    n_range=(300, 300), m_range=(600, 600), twin_density=0.3, seed=7,
-    shape="any"))
+def _outside_half(g, cut) -> Partition:
+    """X one class and U - X cut into its 2-edge-connected classes, from
+    the reference underlying graph."""
+    inside = set(cut)
+    rest = UndirectedGraph(g.n, {(a, b) for a, b in underlying_graph(g).edges
+                                 if a not in inside and b not in inside})
+    comp = connected_components(
+        UndirectedGraph(g.n, rest.edges - bridges_undirected(rest)))
+    return Partition([-1 if v in inside else comp.class_of[v]
+                      for v in range(g.n)])
+
+
+def _model_group_passes(g, cuts, reached) -> int:
+    """The passes of the group check of ``cuts``' outside halves against
+    the partition ``reached``, on the reference underlying graph.  A group
+    of two or more cuts whose union R meets a class of two or more members
+    splits in halves with no pass, and a group with no such class outside
+    R is certified with none.  Any other group takes one pass and is
+    certified when each class lies in one class of R's outside half; if
+    not, it splits in halves, and a single cut's outside half is met."""
+    passes = 0
+    todo = [list(cuts)]
+    while todo:
+        group = todo.pop()
+        union = set().union(*group)
+        half = len(group) // 2
+        big = [c for c in reached.classes if len(c) > 1]
+        if len(group) > 1 and any(union.intersection(c) for c in big):
+            todo += group[half:], group[:half]
+            continue
+        if all(union.intersection(c) for c in big):
+            continue
+        passes += 1
+        outside = _outside_half(g, union)
+        if partition_meet(reached, outside) == reached:
+            continue
+        if len(group) == 1:
+            reached = partition_meet(reached, outside)
+        else:
+            todo += group[half:], group[:half]
+    return passes
 
 
 def test_kernel_runs_once_per_fallback_split(monkeypatch):
     g = SPARSE_ANY
-    full, local, built, asked, peeled = [], [], [], [], []
+    full, local, built, asked, peeled, checked = [], [], [], [], [], []
 
     def counted_kernel(h, scc_of, skip=-1, roots=None):
         (full if roots is None else local).append(skip)
@@ -298,10 +364,17 @@ def test_kernel_runs_once_per_fallback_split(monkeypatch):
         peeled.append(tuple(cut))
         return _peel(h, cut)
 
+    outside_halves = blocks_mod._outside_halves
+
+    def counted_halves(h, cuts, part):
+        checked.append((list(cuts), part.partition()))  # as the check starts
+        yield from outside_halves(h, cuts, part)
+
     monkeypatch.setattr(blocks_mod, "_low_link_class_of", counted_kernel)
     monkeypatch.setattr(_CutTree, "certified", counted_certified)
     monkeypatch.setattr(blocks_mod, "_peel", counted_peel)
-    gated = fell_back = walked = 0
+    monkeypatch.setattr(blocks_mod, "_outside_halves", counted_halves)
+    gated = fell_back = walked = grouped = 0
     for cls in twinless_strongly_connected_components(g).classes:
         if len(cls) < 3:
             continue
@@ -322,14 +395,15 @@ def test_kernel_runs_once_per_fallback_split(monkeypatch):
                 _subtree_top(parent, whole) >= 0
                 and _two_edge_connected_without(sub, set(whole))
                 for whole in (cut, cut + sorted(_model_peel(sub, cut))))
-        fallbacks = {scc for scc, cut in splits.values()
+        fallbacks = {tuple(cut) for _scc, cut in splits.values()
                      if not local_split(cut)}
-        # a certified cut X walks X alone, unless its SCCs are single
-        # vertices (the class of vertex 0 is V - X)
-        locals_ = {scc for scc, cut in splits.values() if local_split(cut)
-                   and any(len(c) > 1 for c in scc.classes if 0 not in c)}
+        # every split walks X alone, unless its SCCs are single vertices
+        # (the class of vertex 0 is V - X)
+        locals_ = {scc for scc, cut in splits.values()
+                   if any(len(c) > 1 for c in scc.classes if 0 not in c)}
         full.clear()
         local.clear()
+        checked.clear()
         _stream(sub)
         assert len(built) == gate
         # past the gate, one peel and then one query, about X with its
@@ -338,24 +412,129 @@ def test_kernel_runs_once_per_fallback_split(monkeypatch):
                 if len(cut) < sub.n - 1}
         assert sorted(peeled) == (sorted(cuts) if gate else [])
         assert asked == [cut + tuple(_peel(sub, cut)) for cut in peeled]
-        # one full pass per fallback split and one local pass per certified
-        # split with a larger SCC; none for a non-strong bridge
-        assert len(full) == len(fallbacks)
+        # one local pass per split with a larger SCC; none for a
+        # non-strong bridge
         assert len(local) == len(locals_)
-        assert set(full + local) <= rep.strong_bridges
-        assert {splits[e][0] for e in full} == fallbacks
+        assert set(local) <= rep.strong_bridges
         assert {splits[e][0] for e in local} == locals_
+        # the full passes are the group checks of the fallback cuts'
+        # outside halves, at most 2k - 1 for k cuts, no arc skipped
+        if fallbacks:
+            [(pending, reached)] = checked
+            assert sorted(pending) == sorted(fallbacks)
+            assert len(full) == _model_group_passes(sub, pending, reached)
+            assert len(full) <= 2 * len(pending) - 1
+            assert set(full) == {-1}
+            grouped += len(full) < len(pending)
+        else:
+            assert checked == full == []
         gated += gate
-        fell_back += bool(full)
+        fell_back += bool(fallbacks)
         walked += bool(local)
         full.clear()
         local.clear()
         built.clear()
         asked.clear()
         peeled.clear()
+        checked.clear()
         tetb_alg2_refine(sub, "faithful")  # ring splits only
-        assert full == local == built == asked == peeled == []
-    assert gated >= 1 and fell_back >= 1 and walked >= 1
+        assert full == local == built == asked == peeled == checked == []
+    assert gated >= 1 and fell_back >= 1 and walked >= 1 and grouped >= 1
+
+
+def _count_group_checks(monkeypatch) -> list[list[int]]:
+    """``[pending cuts, records met]`` per group check the stream runs."""
+    log = []
+    outside_halves = blocks_mod._outside_halves
+
+    def counted(h, cuts, part):
+        entry = [len(cuts), 0]
+        log.append(entry)
+        for record in outside_halves(h, cuts, part):
+            entry[1] += 1
+            yield record
+
+    monkeypatch.setattr(blocks_mod, "_outside_halves", counted)
+    return log
+
+
+def _count_full_passes(monkeypatch) -> list[int]:
+    """The arc each full low-link pass of ``blocks`` skips."""
+    full = []
+
+    def counted(h, scc_of, skip=-1, roots=None):
+        if roots is None:
+            full.append(skip)
+        return _low_link_class_of(h, scc_of, skip, roots)
+
+    monkeypatch.setattr(blocks_mod, "_low_link_class_of", counted)
+    return full
+
+
+def test_group_check_runs_at_most_2k_minus_1_passes(monkeypatch):
+    """The group check of k pending cuts runs at most 2k - 1 full passes
+    under alg2-safe and alg1, and grouping saves passes on most TSCCs
+    that have fallbacks."""
+    checked = _count_group_checks(monkeypatch)
+    full = _count_full_passes(monkeypatch)
+    grouped = failed = 0
+    for sub in TSCC_INPUTS + FALLBACK_INPUTS:
+        for algorithm in ("alg2-safe", "alg1"):
+            checked.clear()
+            full.clear()
+            two_edge_twinless_blocks(sub, algorithm)
+            pending = sum(k for k, _records in checked)
+            assert len(full) <= max(2 * pending - 1, 0), (sub, algorithm)
+            grouped += len(full) < pending
+            failed += sum(records for _k, records in checked)
+    assert grouped >= 300 and failed >= 8, (grouped, failed)
+
+
+@pytest.mark.parametrize("seed", [45, 77, 394])
+def test_failed_single_cut_is_met(seed, monkeypatch):
+    """Small graphs whose blocks change when the fallback cuts' outside
+    halves go unchecked: a single cut fails its check, and its outside
+    half is met."""
+    g = random_digraph(GeneratorConfig(
+        n_range=(5, 15), m_range=(8, 30), twin_density=0.5, seed=seed,
+        shape="twinless-strongly-connected"))
+    checked = _count_group_checks(monkeypatch)
+    expected = oracle_two_edge_twinless_blocks(g)
+    for algorithm in ("alg2-safe", "alg1"):
+        checked.clear()
+        assert two_edge_twinless_blocks(g, algorithm) == expected
+        assert sum(records for _k, records in checked) >= 1
+
+
+@pytest.mark.parametrize("algorithm", ["alg2-safe", "alg1"])
+def test_full_passes_per_request_are_pinned(algorithm, monkeypatch):
+    """SPARSE_ANY takes 3 full low-link passes per request, all of them
+    group checks; one per fallback split took 9."""
+    full = _count_full_passes(monkeypatch)
+    two_edge_twinless_blocks(SPARSE_ANY, algorithm)
+    assert len(full) == 3
+
+
+@pytest.mark.parametrize("algorithm", ["alg2-safe", "alg1"])
+def test_dominator_fan_stops_before_any_full_pass(algorithm, monkeypatch):
+    """``dominator_fan(k)`` is all singletons once the ring split and the
+    first fallback cut's inside half are met: that cut's SCCs are single
+    vertices, so its record comes at once, not with the stream's last
+    split.  One SCC split pass and no full pass run at every size."""
+    full = _count_full_passes(monkeypatch)
+    split = []
+
+    def counted_split(h, cut, e):
+        split.append(e)
+        return _split_class_of(h, cut, e)
+
+    monkeypatch.setattr(blocks_mod, "_split_class_of", counted_split)
+    for k in (100, 200, 400):
+        full.clear()
+        split.clear()
+        g = dominator_fan(k)
+        assert two_edge_twinless_blocks(g, algorithm) == BlockSet(frozenset())
+        assert (len(split), full) == (1, []), k
 
 
 def test_split_pass_repeats_only_for_a_bridge_inside_its_cut(monkeypatch):
@@ -446,8 +625,9 @@ def test_stream_records_meet_like_partition_meet_folds():
         rep, seps = _bridge_report(g)
         part, matrix = _Refinement(g.n), SeparationMatrix(g.n)
         expected = Partition.single_class(g.n)
-        for split, ids in [*_scc_records(g, seps), *blocks_mod._tscc_stream(
-                g, seps, rep.twinless_bridges)]:
+        for split, ids in itertools.chain(
+                _scc_records(g, seps), blocks_mod._tscc_stream(
+                    g, seps, rep.twinless_bridges, part)):
             inside = set(split)
             assert 0 not in inside and len(inside) == len(split)
             expected = partition_meet(expected, Partition(
