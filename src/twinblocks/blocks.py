@@ -22,22 +22,16 @@ alone finishes its split.  That is so when X_e = V - {0}, and when a
 certificate built once per graph says so for an X_e that is a connected
 subtree of T; it costs O((n + m) log n) and is built only when at least
 ceil(log2 n) distinct X_e other than V - {0} reach it.  Each such cut is
-peeled first and asked about once: P, the vertices removed from U - X_e,
-in turn, for having at most one neighbour left, lies on no cycle of
-U - X_e (the first of them removed from a cycle still had two neighbours
-on it), so each vertex of P is a class of its own; when the certificate
-passes X_e + P, V - X_e - P is one class and the split is local, with P
-set apart.  P is empty when U - X_e is 2-edge-connected already.  The
-other cuts fall back, skipping a strong bridge whose split repeats an
-earlier one: a low-link pass over X_e alone gives the TSCCs inside it, and
-what U - X_e splits outside it is checked after every other split, in
-groups, against the partition met so far.  One full undirected low-link
-pass, on the digraph's own arcs, over U minus the union of a group
-certifies every cut in it when it splits no class met so far; a group
-that fails splits in halves, so k fallback cuts cost at most 2k - 1 full
-passes, and only a single cut that fails is met.  Add O(sum of |G[X_e]|)
-local work, which is quadratic on nested cuts such as a directed cycle;
-every algorithm stops once no later split can change its result.  A
+asked about once, alone.  The other cuts fall back, skipping a strong
+bridge whose split repeats an earlier one: a low-link pass over X_e alone
+gives the TSCCs inside it, and what U - X_e splits outside it is checked
+after every other split, in groups, against the partition met so far.  One
+full undirected low-link pass, on the digraph's own arcs, over U minus the
+union of a group certifies every cut in it when it splits no class met so
+far; a group that fails splits in halves, so k fallback cuts cost at most
+2k - 1 full passes, and only a single cut that fails is met.  Add O(sum of
+|G[X_e]|) local work, which is quadratic on nested cuts such as a directed
+cycle; every algorithm stops once no later split can change its result.  A
 split reaches the meet as one record ``(S, ids)``: S lists, without
 repeats, the vertices outside vertex 0's class, and ``ids[v]`` the class
 of each v in S.  The meet keeps the running partition in arrays, each
@@ -54,7 +48,6 @@ every twinless bridge alone, its "faithful" mode from the 2-edge blocks
 over the twinless bridges that are not strong bridges; that skip is only
 sound on graphs without strong bridges (see the G_GADGET fixture for the
 counterexample the test suite pins down).
-``threads`` is accepted for compatibility and ignored.
 """
 from __future__ import annotations
 
@@ -68,7 +61,7 @@ from .core import (Digraph, GraphError, BudgetError, PreconditionError,
 from .partition import Partition, partition_meet
 from .connectivity import (_low_link_class_of, _split_class_of,
                            twinless_strongly_connected_components)
-from .cuts import BridgeReport, _bridge_report, _peel, _Separations
+from .cuts import BridgeReport, _bridge_report, _Separations
 
 MATRIX_VERTEX_BUDGET = 20_000
 SUBSET_BUDGET = 10 ** 6
@@ -81,10 +74,9 @@ class SeparationMatrix:
 
     Rows are machine-word bitsets, and each row stays the mask of its
     vertex's class: the diagonal never clears and the table stays
-    symmetric and transitive.  ``separate_across`` intersects every row
-    with the mask of its class in a ``Partition``; ``rewrite`` sets only
-    the rows of the classes one ``_Refinement`` record changed, each
-    class's members sharing one int.
+    symmetric and transitive.  ``rewrite`` sets only the rows of the
+    classes one ``_Refinement`` record changed, each class's members
+    sharing one int.
     """
 
     __slots__ = ("n", "rows")
@@ -95,22 +87,6 @@ class SeparationMatrix:
 
     def entry(self, v: int, w: int) -> bool:
         return bool(self.rows[v] >> w & 1)
-
-    def separate_across(self, p: Partition) -> bool:
-        """Clear every pair that lands in distinct classes of p; return
-        whether some pair of distinct vertices is still unseparated."""
-        if p.n != self.n:
-            raise GraphError(f"universe mismatch: {p.n} != {self.n}")
-        masks = [0] * p.num_classes
-        for v in range(self.n):
-            masks[p.class_of[v]] |= 1 << v
-        rows = self.rows
-        left = False
-        for v in range(self.n):
-            row = rows[v] = rows[v] & masks[p.class_of[v]]
-            if not left and row & (row - 1):  # a bit besides v's own
-                left = True
-        return left
 
     def rewrite(self, part: _Refinement, made) -> None:
         """Rows for the ``(c, k)`` pairs one ``part.refine`` returned: each
@@ -235,9 +211,9 @@ def _tscc_stream(g: Digraph, seps: _Separations, bridges, part):
     """TSCC classes of g minus each bridge, some met already, from the
     DFS tree T of the underlying graph U that the bridge report kept; one
     ``(S, ids)`` record per split (see ``_Refinement``).  Vertex 0 lies in
-    no X_e and no accepted peel, so its class is always the implicit
-    one.  The consumer meets each record into ``part`` before it pulls
-    the next, as the fallbacks' group check reads it.
+    no X_e, so its class is always the implicit one.  The consumer meets
+    each record into ``part`` before it pulls the next, as the fallbacks'
+    group check reads it.
 
     * The twinless bridges that are not strong bridges give one split,
       the meet of their TSCC splits: ``_CutTree.rings`` cuts their 2-cut
@@ -250,19 +226,11 @@ def _tscc_stream(g: Digraph, seps: _Separations, bridges, part):
       the SCC split of ``_scc_splits``, then a low-link pass over X_e
       alone, skipped when every SCC there is one vertex; S is X_e.  That
       holds for X_e = V - {0}.
-    * Every other cut past the gate below is peeled first (``cuts._peel``)
-      and asked about once: P holds the vertices removed from U - X_e, in
-      turn, for having at most one neighbour left.  The earliest removed
-      vertex on a cycle of U - X_e would still have had its two cycle
-      neighbours, so no vertex of P is on a cycle and each is a class of
-      its own.  When the query of ``_CutTree.certified`` passes X_e + P,
-      a connected subtree of T whose contracted vertex passes the U - x
-      rule, U - X_e - P is 2-edge-connected, so V - X_e - P is one class:
-      the split is local, met as the pass over X_e and a split with P set
-      apart.  If P holds vertex 0, or X_e + P is no connected subtree, the
-      query refuses it.  P is empty when U - X_e is 2-edge-connected: U
-      is simple and U - X_e holds vertex 0 and another vertex, so it then
-      has at least three, each with two neighbours left.
+    * Every other cut past the gate below is asked about once, alone.
+      The query of ``_CutTree.certified`` passes X_e when it is a
+      connected subtree of T whose contracted vertex passes the U - x
+      rule, that is, when U - X_e is 2-edge-connected, so the split is
+      local.
     * Every other split is a fallback, met in two halves.  Its inside
       half, V - X_e one class and the TSCCs of G[X_e] - e, comes where
       the stream reaches it: the SCC split, then a low-link pass over X_e
@@ -272,14 +240,15 @@ def _tscc_stream(g: Digraph, seps: _Separations, bridges, part):
       groups against ``part`` by ``_outside_halves``: only those that
       split a class of ``part`` are met, each as one full low-link pass.
 
-    The certified local splits whose SCCs inside X_e are single vertices,
-    every one-vertex cut among them, are met as one split with every peel,
-    each such vertex alone; S lists a vertex set apart twice once.  A
-    fallback's inside half is met at once even then, so a meet that it
-    leaves all singletons stops before the group check.  The certificate
-    costs O((n + m) log n), about as much as log n kernel passes, so it
-    is built only when at least ceil(log2 n) distinct X_e other than
-    V - {0} reach it; a peel costs O(vol(X_e + P)).  The cuts
+    A one-vertex cut {x} needs no pass, certified or not: its local split,
+    or its inside half as a fallback, is x alone against V - {x}.  Those
+    cuts and the certified local splits whose SCCs inside X_e are single
+    vertices are met as one split, each such vertex alone; S lists a
+    vertex that two cuts share once.  A larger fallback's inside half is
+    met at once even then, so a meet that it leaves all singletons stops
+    before the group check.  The certificate costs O((n + m) log n), about
+    as much as log n kernel passes, so it is built only when at least
+    ceil(log2 n) distinct X_e other than V - {0} reach it.  The cuts
     X_e = V - {0} come first, as the strong bridges are met in id order,
     so a meet that stops early never enumerates the other X_e.  Every cut
     is asked about before the next kernel pass, so the certificate's
@@ -310,29 +279,22 @@ def _tscc_stream(g: Digraph, seps: _Separations, bridges, part):
         # U - X_e is vertex 0 alone; a pass over X_e leaves it class -1
         yield cut, (scc_of if max(scc_of) == n - 1
                     else _low_link_class_of(g, scc_of, e, cut))
-    local: dict[tuple[int, ...], list[int]] = {}  # certified X_e -> peel
+    local = set()  # the cuts the certificate clears
     if len(groups) >= (n - 1).bit_length():
         passes = tree.certified(g)
-        for cut in groups:
-            peel = _peel(g, cut)
-            if passes(cut + tuple(peel)):
-                local[cut] = peel
+        local = {cut for cut in groups if passes(cut)}
         del passes  # the tables go before the first kernel pass
-    apart = []
-    for cut, peel in local.items():
-        apart += peel
-        if len(cut) == 1:
-            apart += cut
-    rest = ((e, cut) for cut, es in groups.items()
-            if len(cut) > 1 or cut not in local for e in es)
-    for e, cut, scc_of in _scc_splits(g, rest):
+    apart = [cut[0] for cut in groups if len(cut) == 1]
+    larger = ((e, cut) for cut, es in groups.items() if len(cut) > 1
+              for e in es)
+    for e, cut, scc_of in _scc_splits(g, larger):
         if max(scc_of) < len(cut):
             yield cut, _low_link_class_of(g, scc_of, e, cut)
         elif cut in local:  # every vertex of X_e is an SCC of its own
             apart += cut
         else:  # a fallback's inside half, met at once all the same
             yield cut, scc_of
-    if apart:  # a vertex set apart twice is listed once
+    if apart:  # cuts overlap, so a vertex can come twice
         yield list(dict.fromkeys(apart)), range(n)
     pending = [cut for cut in groups if cut not in local]
     if pending:
@@ -493,7 +455,7 @@ def _two_edge_block_partition(g: Digraph, seps: _Separations) -> Partition:
     return _Refinement(g.n).meet(_scc_records(g, seps)).partition()
 
 
-def two_edge_blocks(g: Digraph, threads: int = 1) -> BlockSet:
+def two_edge_blocks(g: Digraph) -> BlockSet:
     """2-edge blocks of a strongly connected graph.
 
     Only strong bridges are iterated: removing any other arc leaves the
@@ -504,7 +466,7 @@ def two_edge_blocks(g: Digraph, threads: int = 1) -> BlockSet:
         _two_edge_block_partition(g, _Separations(g)))
 
 
-def tetb_alg1_matrix(g: Digraph, threads: int = 1) -> BlockSet:
+def tetb_alg1_matrix(g: Digraph) -> BlockSet:
     """2-edge-twinless blocks via the separation-matrix transcription.
 
     For each twinless bridge, every vertex pair landing in distinct
@@ -539,8 +501,7 @@ def _alg1_blocks(g: Digraph, rep: BridgeReport,
     return BlockSet(frozenset(matrix.never_separated_components()))
 
 
-def tetb_alg2_refine(g: Digraph, mode: str = "safe",
-                     threads: int = 1) -> BlockSet:
+def tetb_alg2_refine(g: Digraph, mode: str = "safe") -> BlockSet:
     """2-edge-twinless blocks by meeting per-twinless-bridge partitions.
 
     mode="safe" is the meet over every twinless bridge alone: strong bridges
@@ -569,8 +530,8 @@ def _alg2_blocks(g: Digraph, mode: str, rep: BridgeReport,
     return BlockSet.from_partition(part.meet(records).partition())
 
 
-def two_edge_twinless_blocks(g: Digraph, algorithm: str = "alg2-safe",
-                             threads: int = 1) -> BlockSet:
+def two_edge_twinless_blocks(g: Digraph,
+                             algorithm: str = "alg2-safe") -> BlockSet:
     """2-edge-twinless blocks of an arbitrary digraph.
 
     Pipeline: the blocks of a graph are the union of the blocks of its

@@ -44,17 +44,12 @@ cut-off sets X that are connected subtrees of that tree leave U - X
 O((|X| + children) log n) per set, read at the vertex X contracts to; only
 the block algorithms build it, and only when at least ceil(log2 n)
 distinct sets other than V - {0} reach it).  Each set X is asked about
-once, with its peel P (``_peel``): the vertices removed from U - X, in
-turn, for having at most one neighbour left.  None of them is on a cycle
-of U - X, since the first removed from a cycle still had two neighbours
-there, so each is a 2-edge-connected class of U - X of its own, and the
-rest is one class when X + P passes.  The other splits take a low-link
-pass over X alone, and their outside parts are checked in groups, one
-full low-link pass per group, after every other split is met.
+once, alone.  The other splits take a low-link pass over X alone, and
+their outside parts are checked in groups, one full low-link pass per
+group, after every other split is met.
 
 Arc identity (arc_id), not the endpoint pair, names a bridge; that stays
 unambiguous under antiparallel pairs.
-``threads`` is accepted for compatibility and ignored.
 """
 from __future__ import annotations
 
@@ -265,7 +260,7 @@ class _Separations:
         return sorted(parts[0])
 
 
-def strong_bridges(g: Digraph, threads: int = 1) -> frozenset[int]:
+def strong_bridges(g: Digraph) -> frozenset[int]:
     """Arc ids whose removal destroys strong connectivity.
 
     Requires a strongly connected input.
@@ -686,35 +681,6 @@ class _CutTree:
         return query
 
 
-def _peel(g: Digraph, cut) -> list[int]:
-    """The peel P of U - X for the cut X: the vertices removed, in turn,
-    from U - X for having at most one neighbour left, a twin pair being
-    one edge; that is, V - X minus the 2-core of U - X.  O(vol(X + P)),
-    from the digraph's own arcs and no other adjacency.
-
-    No vertex of P lies on a cycle of U - X: the first of them removed
-    from a cycle still had both its neighbours on it.  So every edge at a
-    vertex of P is a bridge of U - X, and each vertex of P is a
-    2-edge-connected class of its own there.
-    """
-    out, inc = g.out_pairs, g.in_pairs
-    gone = set(cut)
-    hits: dict[int, int] = {}  # per vertex, its arcs to removed vertices
-    removed = list(cut)  # X, then P as it is removed; each walked once
-    for p in removed:
-        for w, _ in chain(out[p], inc[p]):
-            if w in gone:
-                continue
-            hits[w] = hits.get(w, 0) + 1
-            # only a vertex with at most two arcs left, possibly one twin
-            # pair, can have one neighbour left
-            if len(out[w]) + len(inc[w]) - hits[w] <= 2 and len(
-                    {x for x, _ in chain(out[w], inc[w])} - gone) <= 1:
-                gone.add(w)
-                removed.append(w)
-    return removed[len(cut):]
-
-
 @dataclass(frozen=True)
 class BridgeReport:
     """Strong and twinless bridges of a twinless strongly connected graph."""
@@ -739,7 +705,7 @@ def _bridge_report(g: Digraph) -> tuple[BridgeReport, _Separations]:
     return BridgeReport(strong, strong.union(seps.cut_tree.unpaired)), seps
 
 
-def bridge_report(g: Digraph, threads: int = 1) -> BridgeReport:
+def bridge_report(g: Digraph) -> BridgeReport:
     """Both bridge sets (twinless strongly connected inputs only).
 
     The precondition is the strong-connectivity test of the two dominator
@@ -749,7 +715,7 @@ def bridge_report(g: Digraph, threads: int = 1) -> BridgeReport:
     return _bridge_report(g)[0]
 
 
-def twinless_bridges(g: Digraph, threads: int = 1) -> frozenset[int]:
+def twinless_bridges(g: Digraph) -> frozenset[int]:
     """Arc ids whose removal destroys twinless strong connectivity.
 
     Requires a twinless strongly connected input.

@@ -11,7 +11,7 @@ from .partition import Partition, partition_meet
 from .connectivity import (_low_link_class_of, _split_class_of,
                            _tscc_class_of, is_twinless_strongly_connected,
                            twinless_strongly_connected_components)
-from .cuts import _bridge_report, _peel, strong_bridges, twinless_bridges
+from .cuts import _bridge_report, strong_bridges, twinless_bridges
 from .blocks import (BlockSet, k_edge_twinless_blocks_bruteforce,
                      tetb_alg1_matrix, tetb_alg2_refine, two_edge_blocks,
                      two_edge_twinless_blocks)
@@ -80,7 +80,7 @@ def run_selftest(out=print) -> int:
     check("gadget: faithful mode wrongly keeps x and y together",
           any({"x", "y"} <= b for b in faithful))
 
-    bad = off_reference = off_tree = multi = peeled = 0
+    bad = off_reference = off_tree = multi = 0
     for seed in range(RANDOM_ROUNDS):
         cfg = GeneratorConfig(n_range=(3, 7), m_range=(3, 14),
                               twin_density=0.3, seed=seed,
@@ -106,9 +106,8 @@ def run_selftest(out=print) -> int:
         if not alg1 == alg2 == reference:
             off_reference += 1
         # the splits read off the 2-cut DFS tree: rings for the twinless
-        # bridges that are not strong; for a cut X_e certified as it is or
-        # with its peel P, X_e's SCCs split by a low-link pass over X_e
-        # alone, each vertex of P alone and the rest one class
+        # bridges that are not strong; for a certified cut X_e, X_e's SCCs
+        # split by a low-link pass over X_e alone and the rest one class
         rep, seps = _bridge_report(h)
         tree = seps.cut_tree
         non_strong = sorted(rep.twinless_bridges - rep.strong_bridges)
@@ -116,14 +115,10 @@ def run_selftest(out=print) -> int:
         cuts = {e: tuple(seps.cut_off(e)) for e in rep.strong_bridges}
         passes = tree.certified(h)
         for e, cut in cuts.items():
-            peel = [] if passes(cut) else _peel(h, cut)
-            if passes(cut + tuple(peel)):
+            if passes(cut):
                 multi += len(cut) > 1
-                peeled += bool(peel)
                 splits[e] = _low_link_class_of(
                     h, _split_class_of(h, cut, e), e, cut)
-                for i, p in enumerate(peel, 2):
-                    splits[e][p] = -i
         if any(Partition(class_of) != Partition(_tscc_class_of(h, e))
                for e, class_of in splits.items()):
             off_tree += 1
@@ -133,8 +128,8 @@ def run_selftest(out=print) -> int:
           "equal the meet of full per-bridge TSCC passes",
           off_reference == 0, f"{off_reference} mismatching seeds")
     check(f"{RANDOM_ROUNDS} seeded random instances: the ring and certified "
-          f"splits ({multi} of more than one vertex, {peeled} peeled) equal "
-          "full TSCC passes", off_tree == 0 and multi > 0 and peeled > 0,
+          f"splits ({multi} of more than one vertex) equal full TSCC "
+          "passes", off_tree == 0 and multi > 0,
           f"{off_tree} mismatching seeds")
 
     # on these, a fallback cut's outside half splits what the rest joins

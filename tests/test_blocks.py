@@ -494,25 +494,16 @@ def test_meeting_over_non_bridges_changes_nothing():
         assert tetb_alg1_matrix(g) == all_arc
 
 
-def test_threads_do_not_change_blocks():
-    for g in (G_DEMO19, G_GADGET):
-        assert two_edge_blocks(g, threads=4) == two_edge_blocks(g)
-        assert tetb_alg2_refine(g, "safe", threads=4) == \
-            tetb_alg2_refine(g, "safe")
-        assert two_edge_twinless_blocks(g, threads=4) == \
-            two_edge_twinless_blocks(g)
-
-
 def test_separation_matrix():
-    m = SeparationMatrix(4)
+    m, part = SeparationMatrix(4), _Refinement(4)
     assert all(m.entry(v, w) for v in range(4) for w in range(4))
-    m.separate_across(Partition([0, 0, 1, 1]))
+    m.rewrite(part, part.refine(*_record([0, 0, 1, 1])))
     assert m.entry(0, 1) and m.entry(2, 3)
     assert not m.entry(0, 2) and not m.entry(3, 1)
     assert all(m.entry(v, v) for v in range(4))  # diagonal never clears
     assert m.never_separated_components() == [frozenset({0, 1}),
                                               frozenset({2, 3})]
-    m.separate_across(Partition([0, 1, 1, 1]))
+    m.rewrite(part, part.refine(*_record([0, 1, 1, 1])))
     assert m.never_separated_components() == [frozenset({2, 3})]
 
 
@@ -524,16 +515,9 @@ def test_separation_matrix():
 def test_never_separated_components_rejects_rows_that_are_not_classes(
         n, rows):
     m = SeparationMatrix(n)
-    m.separate_across(Partition([0] * n))
     m.rows = rows((1 << n) - 1)
     with pytest.raises(GraphError, match="separation matrix"):
         m.never_separated_components()
-
-
-def test_separation_matrix_universe_mismatch():
-    for p in (Partition([0, 1, 1, 0, 2]), Partition([0, 1])):
-        with pytest.raises(GraphError, match="universe mismatch"):
-            SeparationMatrix(3).separate_across(p)
 
 
 def _record(class_of):

@@ -224,18 +224,17 @@ def test_one_parser_per_process_keeps_no_request_state(demo_path, capsys):
 def test_closed_pipe_exits_141_without_a_traceback():
     """A reader that closes the pipe early ends the program with the
     shell's SIGPIPE status and nothing on stderr."""
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "twinblocks", "gen", "--n", "20000",
-         "--m", "40000", "--seed", "1"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    try:
-        assert len(proc.stdout.read(10)) == 10  # of about 436 KB
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert proc.wait(timeout=60) == 141
-    finally:
-        proc.kill()
-        proc.wait()
+    with subprocess.Popen(
+            [sys.executable, "-m", "twinblocks", "gen", "--n", "20000",
+             "--m", "40000", "--seed", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        try:
+            assert len(proc.stdout.read(10)) == 10  # of about 436 KB
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 141
+        finally:
+            proc.kill()  # the with block closes both pipes and waits
     assert b"Traceback" not in err and err == b""
 
 

@@ -244,12 +244,6 @@ def test_strong_bridges_on_a_deep_path_need_no_recursion():
     assert rep.b_s == rep.b_t == g.n
 
 
-def test_threads_do_not_change_results():
-    for g in (G_DEMO19, G_GADGET):
-        assert strong_bridges(g, threads=4) == strong_bridges(g)
-        assert twinless_bridges(g, threads=4) == twinless_bridges(g)
-
-
 def brute_edges_in_some_two_cut(u: UndirectedGraph) -> frozenset:
     out = set()
     for e in u.edges:

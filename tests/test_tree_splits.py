@@ -1,12 +1,11 @@
 """Per-bridge TSCC splits read off the DFS tree of the underlying graph:
 one split for all the twinless bridges that are not strong, the U - X
-certificate for the strong bridges whose cut-off part X, or X with its
-peel, is a connected subtree of it, and the full low-link kernel only for
-the splits that fall back."""
+certificate for the strong bridges whose cut-off part X is a connected
+subtree of it, and the full low-link kernel only for the splits that fall
+back."""
 import itertools
 import math
 import random
-from collections import Counter
 
 import pytest
 
@@ -25,7 +24,7 @@ from twinblocks.blocks import (BlockSet, _Refinement, _scc_records,
                                _two_edge_block_partition)
 from twinblocks.connectivity import (_low_link_class_of, _split_class_of,
                                      _tscc_class_of)
-from twinblocks.cuts import _bridge_report, _CutTree, _peel
+from twinblocks.cuts import _bridge_report, _CutTree
 from twinblocks.fixtures import C3, G_DEMO19, G_GADGET, K3B, P2
 
 from helpers import blob_chain, cycle, dominator_fan, path_fan, shuffled
@@ -127,63 +126,6 @@ def test_certificate_equals_kernel_on_connected_subtrees():
     strong, drawn = outcomes["strong"], outcomes["random"]
     assert min(strong + drawn) >= 500, outcomes
     assert min(strong[0] + drawn[0], strong[1] + drawn[1]) >= 1000
-
-
-def _model_peel(g, cut) -> set[int]:
-    """V - X minus the 2-core of U - X, from the reference underlying
-    graph: drop every vertex with at most one neighbour left, repeatedly."""
-    adjacency = underlying_graph(g).adjacency
-    left = set(range(g.n)) - set(cut)
-    while True:
-        low = {v for v in left if len(left.intersection(adjacency[v])) < 2}
-        if not low:
-            return set(range(g.n)) - set(cut) - left
-        left -= low
-
-
-def test_peeled_certificate_equals_kernel():
-    rng = random.Random(13)
-    outcomes = Counter()
-    for g in TSCC_INPUTS:
-        rep, seps = _bridge_report(g)
-        tree = seps.cut_tree
-        kids = [[] for _ in range(g.n)]
-        for v in tree.order[1:]:
-            kids[tree.parent[v]].append(v)
-        strong = {tuple(seps.cut_off(e)) for e in rep.strong_bridges}
-        drawn = {_random_subtree(rng, kids, g.n) for _ in range(6)}
-        passes = tree.certified(g)
-        for cut in strong | drawn:
-            peel = _peel(g, cut)
-            if passes(cut):
-                # U - X is 2-edge-connected and simple, so unless it is
-                # vertex 0 alone it has three vertices or more, each with
-                # two neighbours: nothing is peeled
-                assert peel == ([0] if len(cut) == g.n - 1 else []), (g, cut)
-                outcomes["passed as it is"] += 1
-                continue
-            assert len(set(peel)) == len(peel), (g, cut)
-            assert set(peel) == _model_peel(g, cut), (g, cut)
-            # the kernel with X set apart: each vertex of P is alone
-            scc_of = [0] * g.n
-            for x in cut:
-                scc_of[x] = 1
-            class_of = _low_link_class_of(g, scc_of)
-            sizes = Counter(class_of[v] for v in range(g.n) if not scc_of[v])
-            assert all(sizes[class_of[p]] == 1 for p in peel), (g, cut)
-            whole = cut + tuple(peel)
-            if _subtree_top(tree.parent, whole) < 0:
-                assert not passes(whole), (g, cut)
-                outcomes["not a subtree"] += 1
-                continue
-            rest = {class_of[v] for v in range(g.n)
-                    if not scc_of[v] and v not in peel}
-            ok = len(rest) == 1
-            assert passes(whole) == ok, (g, cut)
-            outcomes[ok, bool(peel)] += 1
-    assert outcomes[True, True] >= 500, outcomes
-    assert outcomes["passed as it is"] >= 500, outcomes
-    assert min(outcomes[False, True], outcomes["not a subtree"]) >= 20
 
 
 def test_ring_splits_equal_full_tscc_passes():
@@ -343,7 +285,7 @@ def _model_group_passes(g, cuts, reached) -> int:
 
 def test_kernel_runs_once_per_fallback_split(monkeypatch):
     g = SPARSE_ANY
-    full, local, built, asked, peeled, checked = [], [], [], [], [], []
+    full, local, built, asked, checked = [], [], [], [], []
 
     def counted_kernel(h, scc_of, skip=-1, roots=None):
         (full if roots is None else local).append(skip)
@@ -360,10 +302,6 @@ def test_kernel_runs_once_per_fallback_split(monkeypatch):
             return query(cut)
         return counted_query
 
-    def counted_peel(h, cut):
-        peeled.append(tuple(cut))
-        return _peel(h, cut)
-
     outside_halves = blocks_mod._outside_halves
 
     def counted_halves(h, cuts, part):
@@ -372,7 +310,6 @@ def test_kernel_runs_once_per_fallback_split(monkeypatch):
 
     monkeypatch.setattr(blocks_mod, "_low_link_class_of", counted_kernel)
     monkeypatch.setattr(_CutTree, "certified", counted_certified)
-    monkeypatch.setattr(blocks_mod, "_peel", counted_peel)
     monkeypatch.setattr(blocks_mod, "_outside_halves", counted_halves)
     gated = fell_back = walked = grouped = 0
     for cls in twinless_strongly_connected_components(g).classes:
@@ -389,12 +326,11 @@ def test_kernel_runs_once_per_fallback_split(monkeypatch):
 
         def local_split(cut):
             """V - {0} needs no certificate; another cut X needs the gate,
-            and X or X with its peel a connected subtree of the DFS tree
-            with U minus it 2-edge-connected."""
-            return len(cut) == sub.n - 1 or gate and any(
-                _subtree_top(parent, whole) >= 0
-                and _two_edge_connected_without(sub, set(whole))
-                for whole in (cut, cut + sorted(_model_peel(sub, cut))))
+            and X a connected subtree of the DFS tree with U - X
+            2-edge-connected."""
+            return len(cut) == sub.n - 1 or gate and (
+                _subtree_top(parent, cut) >= 0
+                and _two_edge_connected_without(sub, set(cut)))
         fallbacks = {tuple(cut) for _scc, cut in splits.values()
                      if not local_split(cut)}
         # every split walks X alone, unless its SCCs are single vertices
@@ -406,12 +342,11 @@ def test_kernel_runs_once_per_fallback_split(monkeypatch):
         checked.clear()
         _stream(sub)
         assert len(built) == gate
-        # past the gate, one peel and then one query, about X with its
-        # peel, per distinct cut X other than V - {0}
+        # past the gate, one query, about X alone, per distinct cut X
+        # other than V - {0}
         cuts = {tuple(cut) for _scc, cut in splits.values()
                 if len(cut) < sub.n - 1}
-        assert sorted(peeled) == (sorted(cuts) if gate else [])
-        assert asked == [cut + tuple(_peel(sub, cut)) for cut in peeled]
+        assert sorted(asked) == (sorted(cuts) if gate else [])
         # one local pass per split with a larger SCC; none for a
         # non-strong bridge
         assert len(local) == len(locals_)
@@ -435,10 +370,9 @@ def test_kernel_runs_once_per_fallback_split(monkeypatch):
         local.clear()
         built.clear()
         asked.clear()
-        peeled.clear()
         checked.clear()
         tetb_alg2_refine(sub, "faithful")  # ring splits only
-        assert full == local == built == asked == peeled == checked == []
+        assert full == local == built == asked == checked == []
     assert gated >= 1 and fell_back >= 1 and walked >= 1 and grouped >= 1
 
 
@@ -508,11 +442,13 @@ def test_failed_single_cut_is_met(seed, monkeypatch):
 
 @pytest.mark.parametrize("algorithm", ["alg2-safe", "alg1"])
 def test_full_passes_per_request_are_pinned(algorithm, monkeypatch):
-    """SPARSE_ANY takes 3 full low-link passes per request, all of them
-    group checks; one per fallback split took 9."""
+    """SPARSE_ANY takes 4 full low-link passes per request, all of them
+    group checks; one per fallback split took 9.  The certificate is asked
+    about each cut X alone, so a cut whose U - X has pendant vertices is
+    refused and reaches the group check: peeling them first took 3."""
     full = _count_full_passes(monkeypatch)
     two_edge_twinless_blocks(SPARSE_ANY, algorithm)
-    assert len(full) == 3
+    assert len(full) == 4
 
 
 @pytest.mark.parametrize("algorithm", ["alg2-safe", "alg1"])
@@ -535,6 +471,59 @@ def test_dominator_fan_stops_before_any_full_pass(algorithm, monkeypatch):
         g = dominator_fan(k)
         assert two_edge_twinless_blocks(g, algorithm) == BlockSet(frozenset())
         assert (len(split), full) == (1, []), k
+
+
+@pytest.mark.parametrize("algorithm", ["alg2-safe", "alg1"])
+def test_one_vertex_cuts_take_no_split_pass(algorithm, monkeypatch):
+    """A one-vertex cut {x}, certified or a fallback, is met as x alone
+    with no SCC split pass over it, on the inputs whose cuts fall back."""
+    sizes = []
+
+    def counted_split(h, cut, e):
+        sizes.append(len(cut))
+        return _split_class_of(h, cut, e)
+
+    monkeypatch.setattr(blocks_mod, "_split_class_of", counted_split)
+    singles = 0
+    for sub in FALLBACK_INPUTS:
+        seps = _bridge_report(sub)[1]
+        singles += sum(len(seps.cut_off(e)) == 1
+                       for e in seps.strong_bridges())
+        two_edge_twinless_blocks(sub, algorithm)
+    assert sizes and 1 not in sizes
+    assert singles >= 100, singles
+
+
+@pytest.mark.parametrize("algorithm", ["alg2-safe", "alg1"])
+def test_blob_chain_cuts_are_certified(algorithm, monkeypatch):
+    """``blob_chain(k, 4)``'s k - 1 nested cuts all pass the certificate:
+    no full low-link pass, one local pass per cut, and the certificate
+    built once and asked once per cut."""
+    full, local, built, asked = [], [], [], []
+
+    def counted_kernel(h, scc_of, skip=-1, roots=None):
+        (full if roots is None else local).append(skip)
+        return _low_link_class_of(h, scc_of, skip, roots)
+
+    certified = _CutTree.certified
+
+    def counted_certified(self, *args):
+        built.append(args)
+        query = certified(self, *args)
+
+        def counted_query(cut):
+            asked.append(cut)
+            return query(cut)
+        return counted_query
+
+    monkeypatch.setattr(blocks_mod, "_low_link_class_of", counted_kernel)
+    monkeypatch.setattr(_CutTree, "certified", counted_certified)
+    for k in (100, 200, 400):
+        for log in (full, local, built, asked):
+            log.clear()
+        two_edge_twinless_blocks(blob_chain(k, 4), algorithm)
+        assert (len(full), len(local), len(built), len(asked)) == \
+            (0, k - 1, 1, k - 1), k
 
 
 def test_split_pass_repeats_only_for_a_bridge_inside_its_cut(monkeypatch):
