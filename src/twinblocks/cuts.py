@@ -13,6 +13,13 @@
   numberings are also the strong-connectivity precondition: both must
   reach every vertex, and both are walked before either Lengauer-Tarjan
   pass, so an input that is not strongly connected costs no dominators.
+  A direction runs its pass only when it can have a bridge: when every
+  vertex has two or more in-arcs and a search from 0 over the arcs
+  outside its DFS tree reaches every vertex, the tree and that search
+  are two arc-disjoint spanning arborescences, and the direction has no
+  bridge (Edmonds, "Edge-disjoint branchings", 1973; Tarjan,
+  "Edge-disjoint spanning trees and depth-first search", Acta
+  Informatica 1976).
 
 * For a twinless strongly connected graph, removing an arc whose twin
   survives leaves the underlying graph unchanged, so only strong
@@ -32,21 +39,20 @@ underlying graph, so the precondition costs the two dominator DFS and the
 bridge test that the 2-cut pass makes anyway; a bridge report runs that
 pass before the dominators, so an underlying bridge costs none either.
 
-Every bridge query builds both dominator-tree preorders once, in one
+Every bridge query builds the dominator-tree preorders it needs once, in one
 ``_Separations``.  They also say what each strong bridge cuts off the SCC of
 vertex 0; ``blocks`` reads its per-bridge SCC splits from them instead of
 running Tarjan's algorithm once per bridge.  A bridge report keeps the DFS
 tree of its 2-cut pass there too (``_CutTree``), and ``blocks`` reads from
 it the meet of the TSCC splits of all twinless bridges that are not strong
-(their 2-cut classes cut out of the tree, one O(n) split) and which
-cut-off sets X that are connected subtrees of that tree leave U - X
-2-edge-connected (a certificate in O((n + m) log n) plus
-O((|X| + children) log n) per set, read at the vertex X contracts to; only
-the block algorithms build it, and only when at least ceil(log2 n)
-distinct sets other than V - {0} reach it).  Each set X is asked about
-once, alone.  The other splits take a low-link pass over X alone, and
-their outside parts are checked in groups, one full low-link pass per
-group, after every other split is met.
+(their 2-cut classes cut out of the tree, one O(n) split) and which cut-off
+sets X that are connected subtrees of that tree leave U - X 2-edge-connected
+(a certificate in O((n + m) log n) plus O((|X| + children) log n) per set,
+read at the vertex X contracts to; only the block algorithms build it, and
+only when at least ceil(log2 n) distinct sets other than V - {0} reach it).
+Each set X is asked about once, alone.  The other splits take a low-link
+pass over X alone, and their outside parts are checked in groups, one full
+low-link pass per group, after every other split is met.
 
 Arc identity (arc_id), not the endpoint pair, names a bridge; that stays
 unambiguous under antiparallel pairs.
@@ -197,6 +203,25 @@ def _flow_bridges(n: int, pred: Pairs, walk) -> tuple[list[int], tuple]:
     return out, (by_pre, array("i", pre), array("i", size))
 
 
+def _spare_reaches_all(n: int, succ: Pairs, parent: list[int]) -> bool:
+    """Whether a search from vertex 0 over the arcs of ``succ`` that are
+    not arcs v -> w of the DFS tree ``parent`` (parent[w] == v) reaches
+    every vertex.  If so, each vertex has a tree path and a spare path from
+    0 that share no arc, so the flowgraph has no bridge."""
+    seen = bytearray(n)
+    seen[0] = 1
+    stack = [0]
+    left = n - 1
+    while stack:
+        v = stack.pop()
+        for w, _ in succ[v]:
+            if not seen[w] and parent[w] != v:
+                seen[w] = 1
+                stack.append(w)
+                left -= 1
+    return not left
+
+
 class _Separations:
     """What each strong bridge cuts off, read from the two dominator trees.
 
@@ -210,6 +235,11 @@ class _Separations:
     ``_flow_bridges`` returns (Italiano, Laura and Santaroni, TCS
     2012; Georgiadis, Italiano, Laura and Parotsidis, "2-Edge Connectivity
     in Directed Graphs", SODA 2015).
+
+    A direction whose DFS tree has an arc-disjoint spare arborescence
+    (``_spare_reaches_all``) has no bridge and gets no dominator tree; a
+    spare search that misses a vertex proves nothing, and the direction's
+    passes run.
     """
 
     __slots__ = ("ends", "side", "trees", "cut_tree")
@@ -222,13 +252,17 @@ class _Separations:
         one misses a vertex, PreconditionError(message) is raised with no
         dominators computed.  With ``cut_tree`` the 2-cut pass of a bridge
         report runs between the DFS and the passes, so an input whose
-        underlying graph has a bridge is refused before them too."""
+        underlying graph has a bridge is refused before them too.  Then
+        each direction that a spare search proves bridgeless skips its
+        Lengauer-Tarjan pass."""
         if g.n == 0:
             raise PreconditionError("empty graph")
         self.ends = g._ends
         self.cut_tree: _CutTree | None = None  # set by a bridge report
         self.side = bytearray(g.m)  # 1: bridge of G_0, 2: of G_0^R, 3: both
-        self.trees = []  # (by_pre, pre, size) of D, then of D^R
+        # (by_pre, pre, size) of D, then of D^R; None for a direction with
+        # no bridge, whose dominators were never computed
+        self.trees = []
         walks = []
         for succ in (g.out_pairs, g.in_pairs):
             walk = _preorder(g.n, succ)
@@ -237,8 +271,13 @@ class _Separations:
             walks.append(walk)
         if cut_tree:
             self.cut_tree = _CutTree(g, g._twin)
-        for bit, pred, walk in ((1, g.in_pairs, walks[0]),
-                                (2, g.out_pairs, walks[1])):
+        for bit, succ, pred, walk in (
+                (1, g.out_pairs, g.in_pairs, walks[0]),
+                (2, g.in_pairs, g.out_pairs, walks[1])):
+            if min(map(len, pred)) >= 2 and \
+                    _spare_reaches_all(g.n, succ, walk[2]):
+                self.trees.append(None)
+                continue
             bridges, tree = _flow_bridges(g.n, pred, walk)
             for aid in bridges:
                 self.side[aid] |= bit
@@ -252,8 +291,9 @@ class _Separations:
         side = self.side[e]
         u, v = self.ends[e]
         parts = []
-        for bit, w, (by_pre, pre, size) in zip((1, 2), (v, u), self.trees):
+        for bit, w, tree in zip((1, 2), (v, u), self.trees):
             if side & bit:
+                by_pre, pre, size = tree
                 parts.append(by_pre[pre[w]:pre[w] + size[w]])
         if len(parts) == 2:
             return sorted(set(parts[0]).union(parts[1]))

@@ -6,10 +6,11 @@ check.  Exits nonzero iff anything fails.
 """
 from __future__ import annotations
 
-from .core import parse_edge_list, remove_arcs, twin_pairs
+from .core import Digraph, parse_edge_list, remove_arcs, twin_pairs
 from .partition import Partition, partition_meet
 from .connectivity import (_low_link_class_of, _split_class_of,
-                           _tscc_class_of, is_twinless_strongly_connected,
+                           _tscc_class_of, is_strongly_connected,
+                           is_twinless_strongly_connected,
                            twinless_strongly_connected_components)
 from .cuts import _bridge_report, strong_bridges, twinless_bridges
 from .blocks import (BlockSet, k_edge_twinless_blocks_bruteforce,
@@ -79,6 +80,23 @@ def run_selftest(out=print) -> int:
           not any({"x", "y"} <= b for b in oracle))
     check("gadget: faithful mode wrongly keeps x and y together",
           any({"x", "y"} <= b for b in faithful))
+
+    # a dense graph whose directions both skip the dominators, and a copy
+    # with a planted vertex x entered by one arc 0 -> x, which is a bridge
+    dense = random_digraph(GeneratorConfig(
+        n_range=(20, 20), m_range=(120, 120), twin_density=0.1, seed=0,
+        shape="twinless-strongly-connected"))
+    planted = Digraph(dense.labels + ("x",),
+                      list(dense._ends) + [(0, 20), (20, 1), (20, 2)])
+    for name, h, expected in (
+            ("dense bridgeless graph", dense, set()),
+            ("its planted-bridge copy", planted, {planted.arc_id(0, 20)})):
+        recheck = {a for a in range(h.m)
+                   if not is_strongly_connected(remove_arcs(h, {a}))}
+        found = strong_bridges(h)
+        check(f"{name}: strong bridges equal the remove-and-recheck",
+              found == recheck == expected,
+              f"{sorted(found)}, recheck {sorted(recheck)}")
 
     bad = off_reference = off_tree = multi = 0
     for seed in range(RANDOM_ROUNDS):

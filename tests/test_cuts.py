@@ -159,6 +159,46 @@ def test_bridges_match_definitional_recheck_on_random_graphs():
         assert twinless_bridges(g) == naive_twinless_bridges(g)
 
 
+def _grown(g: Digraph, arcs) -> Digraph:
+    """g plus ``arcs``, whose ends from g.n on are new vertices."""
+    n = max(map(max, arcs)) + 1
+    return Digraph(g.labels + tuple(f"new{v}" for v in range(g.n, n)),
+                   list(g._ends) + arcs)
+
+
+def _dense_with_plants(seed: int) -> list[Digraph]:
+    """A dense twinless strongly connected graph (12 <= n <= 60, m <= 6n;
+    n <= 20 but for one seed in 16, so the naive rechecks stay cheap) and
+    copies with planted bridges: x with one in-arc, y with one out-arc,
+    both, and a bidirected triangle entered by one arc and left by one,
+    whose vertices all keep two in-arcs and two out-arcs."""
+    rng = random.Random(seed)
+    n = rng.randint(12, 60 if seed % 16 == 0 else 20)
+    g = random_digraph(GeneratorConfig(
+        n_range=(n, n), m_range=(5 * n, 6 * n), twin_density=(seed % 4) * 0.1,
+        seed=seed, shape="twinless-strongly-connected"))
+    a, b, c = rng.sample(range(n), 3)
+    x, y, z = n, n + 1, n + 2
+    one_in = [(a, x), (x, b), (x, c)]
+    triangle = [(u, v) for u in (x, y, z) for v in (x, y, z) if u != v]
+    return [g, _grown(g, one_in), _grown(g, [(a, x), (b, x), (x, c)]),
+            _grown(g, one_in + [(a, y), (b, y), (y, c)]),
+            _grown(g, triangle + [(a, x), (y, b)])]
+
+
+def test_spare_search_skips_only_bridgeless_directions():
+    skipped = 0
+    for seed in range(48):
+        for g in _dense_with_plants(seed):
+            assert is_twinless_strongly_connected(g)
+            assert twinless_bridges(g) == naive_twinless_bridges(g)
+            for h in (g, shuffled(g, seed)):
+                seps = _Separations(h)
+                assert seps.strong_bridges() == naive_strong_bridges(h)
+                skipped += seps.trees.count(None)
+    assert skipped >= 300, skipped
+
+
 def test_twinless_bridge_iff_removal_splits_tscc():
     for g in tsc_instances(40):
         tb = twinless_bridges(g)

@@ -181,6 +181,32 @@ def test_underlying_bridge_is_refused_before_dominators(monkeypatch):
         log.clear()
 
 
+def test_dominators_run_only_where_a_bridge_can_be(monkeypatch):
+    # a direction whose DFS tree has an arc-disjoint spare arborescence
+    # has no bridge and runs no Lengauer-Tarjan pass
+    k5 = Digraph.from_label_pairs(
+        [(str(u), str(v)) for u in range(5) for v in range(5) if u != v])
+    dense = random_digraph(GeneratorConfig(
+        n_range=(30, 30), m_range=(180, 180), twin_density=0.1, seed=1,
+        shape="twinless-strongly-connected"))
+    n = dense.n
+    one_in = Digraph(dense.labels + ("x",),
+                     list(dense._ends) + [(0, n), (n, 1), (n, 2)])
+    one_out = Digraph(dense.labels + ("y",),
+                      list(dense._ends) + [(0, n), (1, n), (n, 2)])
+    log: list[str] = []
+    _counting(monkeypatch, cuts_mod, "_lengauer_tarjan", log)
+    for g, passes in ((k5, 0), (dense, 0), (one_in, 1), (one_out, 1),
+                      (cycle(8), 2)):
+        log.clear()
+        rep, seps = _bridge_report(g)
+        assert len(log) == passes, g
+        assert seps.trees.count(None) == 2 - passes
+        assert rep.strong_bridges == strong_bridges(g) == frozenset(
+            a.arc_id for a in g.arcs
+            if not is_strongly_connected(remove_arcs(g, {a.arc_id})))
+
+
 def test_alg1_over_budget_goes_to_the_decomposition(monkeypatch):
     # over the matrix budget, alg1 skips the whole-graph report: a TSC
     # graph is refused as before, and small TSCCs are still analysed
